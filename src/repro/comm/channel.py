@@ -124,6 +124,28 @@ class StreamingChannel:
         self._staged_forward = None
         self._staged_backward = None
 
+    def quiescent(self) -> bool:
+        """True when an edge would at most count a stall: no valid word in
+        flight, the feedback pipeline settled and nothing to drive."""
+        if self.released:
+            return True
+        if (not self.consumer.full_feedback) in self._backward:
+            return False
+        if self._forward.count(INVALID_WORD) != self.d:
+            return False
+        producer = self.producer
+        return not (
+            producer.fifo_ren
+            and not producer.fifo.empty
+            and not (self._backward[-1] or self.fault_stuck_full)
+        )
+
+    def idle_advance(self, cycles: int) -> None:
+        # quiescent, so a producer holding data is being backpressured
+        producer = self.producer
+        if not self.released and producer.fifo_ren and not producer.fifo.empty:
+            self.stall_cycles += cycles
+
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
@@ -194,6 +216,13 @@ class SwitchFabric(ClockedComponent):
     def commit(self) -> None:
         for channel in self._channel_list:
             channel.commit()
+
+    def quiescent(self) -> bool:
+        return all(channel.quiescent() for channel in self._channel_list)
+
+    def idle_advance(self, cycles: int) -> None:
+        for channel in self._channel_list:
+            channel.idle_advance(cycles)
 
     @property
     def active_channels(self) -> List[StreamingChannel]:

@@ -140,7 +140,11 @@ class HardwareModule(ClockedComponent):
         return self.samples_in & 0xFFFFFFFF
 
     def select_input(self) -> int:
-        """Which consumer port to fetch from this cycle (default: 0)."""
+        """Which consumer port to fetch from this cycle (default: 0).
+
+        An override must have no side effect when no consumer is readable:
+        the fast path skips idle edges without calling it.
+        """
         return 0
 
     def on_reset(self) -> None:
@@ -212,6 +216,39 @@ class HardwareModule(ClockedComponent):
             self._finish_checkpoint()
         else:
             self.stall_cycles += 1
+
+    def quiescent(self) -> bool:
+        """Idle: reset, halted, unbound or not yet started with no FSL
+        command waiting, or started with nothing to emit, no sample in
+        progress, no drain under way and no readable consumer FIFO.
+
+        :meth:`select_input` is not called here, so an override must have
+        no side effect when no consumer is readable.
+        """
+        if self.in_reset or self.halted or self.ports is None:
+            return True
+        link = self.ports.fsl_in
+        if link is not None and link.can_read:
+            return False
+        if not self.started:
+            return True
+        if (
+            self._pending_out
+            or self._eos_pending
+            or self._state_to_send
+            or self._busy_cycles
+            or self.flushing
+            or self.checkpointing
+        ):
+            return False
+        return not any(c.module_can_read for c in self.ports.consumers)
+
+    def idle_advance(self, cycles: int) -> None:
+        if self.in_reset or self.halted or self.ports is None:
+            return
+        self.lcd_cycles += cycles
+        if self.started:
+            self.stall_cycles += cycles
 
     # -- FSM pieces -----------------------------------------------------
     def _poll_fsl_commands(self) -> None:

@@ -86,6 +86,27 @@ class Iom(ClockedComponent):
         self._push_input()
         self._pull_output()
 
+    def quiescent(self) -> bool:
+        """Idle: no command, nothing arriving, and no source word that
+        could be pushed (exhausted, absent, or the producer FIFO full)."""
+        ports = self.ports
+        if ports is None:
+            return True
+        if ports.fsl_in is not None and ports.fsl_in.can_read:
+            return False
+        if ports.consumers and ports.consumers[0].module_can_read:
+            return False
+        return (
+            self._source is None
+            or self.source_exhausted
+            or not ports.producers
+            or not ports.producers[0].module_can_write
+        )
+
+    def idle_advance(self, cycles: int) -> None:
+        if self.ports is not None:
+            self.cycles += cycles
+
     def _poll_commands(self) -> None:
         link = self.ports.fsl_in
         if link is None:

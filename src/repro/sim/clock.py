@@ -47,13 +47,37 @@ class Clocked(Protocol):
 
 
 class ClockedComponent:
-    """Convenience base class with no-op clock phases."""
+    """Convenience base class with no-op clock phases.
+
+    ``quiescent`` and ``idle_advance`` let the fast path skip idle clock
+    edges (see :mod:`repro.sim.fastpath`).  ``quiescent()`` may return True
+    only when, as long as every other component on every adopted clock is
+    quiescent too, each ``sample``/``commit`` would change nothing but the
+    counters ``idle_advance(n)`` then adds for ``n`` such edges.  A
+    subclass that overrides ``sample`` or ``commit`` without defining its
+    own ``quiescent`` falls back to the default False and is never skipped.
+    """
 
     def sample(self) -> None:  # pragma: no cover - trivially overridden
         pass
 
     def commit(self) -> None:  # pragma: no cover - trivially overridden
         pass
+
+    def quiescent(self) -> bool:
+        """True when an edge would change nothing but cycle counters."""
+        return False
+
+    def idle_advance(self, cycles: int) -> None:
+        """Apply the counter updates of ``cycles`` quiescent edges."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        if ("sample" in own or "commit" in own) and "quiescent" not in own:
+            # An inherited quiescent() describes the parent's edge, not
+            # this one: never skip the subclass.
+            cls.quiescent = ClockedComponent.quiescent  # type: ignore[method-assign]
 
 
 class ClockSource:

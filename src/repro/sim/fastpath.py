@@ -34,11 +34,42 @@ the same total order as before.
 Out-of-band frequency mutation (anything other than ``Bufgmux.select``)
 must bump ``CLOCK_EPOCH[0]`` or the fast path may keep dispatching on the
 stale period; all shipped clocking primitives do this already.
+
+Quiescence skip-ahead.  Many edges in a window move nothing: during a
+Section V reconfiguration the RSB clocks keep ticking, and executor
+quanta end in idle tails.  Every :data:`SKIP_CHECK_PASSES` whole passes
+the table dispatcher asks each component on each adopted clock whether it
+is ``quiescent()``.  If all are, it advances every whole pass but the last
+one before the window limit in one arithmetic step; that last pass and
+any partial tail are dispatched normally.  The step stays bit-identical:
+
+* ``quiescent()`` guarantees that, while every other adopted component
+  is quiescent too, the component's ``sample``/``commit`` change nothing
+  but the counters ``idle_advance(n)`` applies for ``n`` edges, and that
+  its answer does not depend on those counters, so one check covers every
+  skipped edge.  Components without the method, and subclasses that
+  override ``sample`` or ``commit`` without redefining it, are never
+  skipped (see :class:`~repro.sim.clock.ClockedComponent`).
+* The seq shift over one pass is exact.  An undisturbed pass dispatches
+  the same edges every time, and ties at a shared instant sort by the seq
+  each clock drew at its previous edge: for clocks of different periods
+  that is the order of those edges' times, and same-period, same-phase
+  clocks keep the order they started in.  So every pass after the first
+  draws its D = 2 x (edges per pass) sequence numbers in the same
+  pattern, and skipping k passes adds k*D to each pending edge's seq and
+  to the simulator's counter (plus k*D events processed).
+* Skipping starts only after one full pass.  The first pass of a window
+  may order ties by seqs drawn before the window (a clock ungated from a
+  commit callback, say); once it has run, every pending seq was drawn
+  inside the window.  The first check comes after
+  ``SKIP_CHECK_PASSES`` >= 2 passes, so the pass a skip extrapolates
+  from is always a periodic one.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappush
+from itertools import count
 from math import gcd
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -58,6 +89,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
 #: scan dispatcher (min over live next-edge times each instant).  Keeps
 #: pathological frequency ratios from compiling megabyte tables.
 MAX_TABLE_EDGES = 4096
+
+#: Whole hyperperiods dispatched between two quiescence checks.  The
+#: first check therefore comes after the second full pass of a window,
+#: once the pass order is periodic (see the module docstring).
+SKIP_CHECK_PASSES = 16
 
 _BY_SEQ = attrgetter("seq")
 
@@ -97,6 +133,7 @@ class FastPathEngine:
         "_windows",
         "_edges",
         "_bails",
+        "_skipped",
         "_memo_key",
         "_memo_slots",
         "_memo_hyper",
@@ -110,6 +147,7 @@ class FastPathEngine:
         self._windows = 0
         self._edges = 0
         self._bails = 0
+        self._skipped = 0
         self._memo_key: Optional[Tuple[Tuple[int, int], ...]] = None
         self._memo_slots: Optional[List[Tuple[int, List[int]]]] = None
         self._memo_hyper = 0
@@ -118,11 +156,13 @@ class FastPathEngine:
     # public surface used by Simulator / Clock
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Counters: windows adopted, edges dispatched, early bails."""
+        """Counters: windows adopted, edges dispatched, early bails, and
+        how many of those edges skip-ahead advanced arithmetically."""
         return {
             "windows": self._windows,
             "edges": self._edges,
             "bails": self._bails,
+            "skipped": self._skipped,
         }
 
     def owns(self, clock: Any) -> bool:
@@ -268,10 +308,23 @@ class FastPathEngine:
         hyper: int,
         t0: int,
     ) -> None:
-        """Hot loop: walk the slot table cycle by cycle up to ``limit``."""
+        """Hot loop: walk the slot table cycle by cycle up to ``limit``.
+
+        Every :data:`SKIP_CHECK_PASSES` whole passes, if all adopted
+        components are quiescent, all but the last whole pass left before
+        ``limit`` are advanced arithmetically by :meth:`_skip_ahead`.
+        """
         states = self._states
         cycle = t0
+        passes = 0
         while True:
+            if passes == SKIP_CHECK_PASSES:
+                passes = 0
+                skip = (limit - cycle + 1) // hyper - 1
+                if skip > 0 and self._quiescent():
+                    self._skip_ahead(skip, cycle, hyper, slots[-1][0])
+                    cycle += skip * hyper
+            passes += 1
             for offset, indices in slots:
                 t = cycle + offset
                 if t > limit:
@@ -291,6 +344,45 @@ class FastPathEngine:
                 if due and not self._dispatch_instant(t, due):
                     return
             cycle += hyper
+
+    def _quiescent(self) -> bool:
+        """True when every component on every adopted clock is idle."""
+        for st in self._states:
+            for component in st.clock.components:
+                quiescent = getattr(component, "quiescent", None)
+                if quiescent is None or not quiescent():
+                    return False
+        return True
+
+    def _skip_ahead(
+        self, passes: int, cycle: int, hyper: int, last_offset: int
+    ) -> None:
+        """Advance ``passes`` quiescent hyperperiods from ``cycle`` at once.
+
+        Applies exactly what dispatching them would have: per clock its
+        cycles and its components' idle counters; per pending edge a time
+        shift of ``passes * hyper`` and a seq shift of ``passes * D``,
+        where D = 2 x edges per pass is what one pass draws; the same
+        draws, two events per edge and the edge count on the simulator
+        and on this engine; and ``now`` at the last skipped instant.
+        """
+        sim = self.sim
+        span = passes * hyper
+        edges = sum(span // st.period for st in self._states)
+        draws = 2 * edges
+        for st in self._states:
+            clock = st.clock
+            ticks = span // st.period
+            clock.cycles += ticks
+            for component in clock.components:
+                component.idle_advance(ticks)
+            st.next_time += span
+            st.seq += draws
+        sim._seq = count(next(sim._seq) + draws)
+        sim.events_processed += draws
+        sim._now = cycle + span - hyper + last_offset
+        self._edges += edges
+        self._skipped += edges
 
     def _scan_window(self, limit: int) -> None:
         """Fallback dispatcher: find each next instant by scanning states."""

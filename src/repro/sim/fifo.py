@@ -8,9 +8,8 @@ FIFOs.  Two flavours are modelled:
   PRR local clock domain and the static-region clock (paper Section
   III.B.2).  Because the kernel serialises all events deterministically the
   data path is identical to the synchronous FIFO; the class additionally
-  records its two clock domains and models the gray-code flag-synchroniser
-  latency on the *flags* (a reader may observe empty for
-  ``sync_stages`` reader-side cycles after a cross-domain write).
+  records its two clock domains and the depth of its gray-code
+  flag synchroniser, which the CDC lint checks.
 
 FIFOs count pushes, pops and *drops* (pushes while full).  The consumer
 interface of the paper discards words arriving at a full FIFO; the drop
@@ -190,12 +189,9 @@ class AsyncFifo(SyncFifo):
     """Dual-clock FIFO providing clock-domain isolation.
 
     ``write_domain`` / ``read_domain`` are informational names (e.g. the
-    static-region clock and a PRR LCD).  ``sync_stages`` models the
-    flag-synchroniser depth: a word written at reader-cycle *c* becomes
-    visible to :attr:`sync_empty` only at reader cycle ``c + sync_stages``.
-    The visibility clock is advanced by the reading component calling
-    :meth:`reader_tick` once per read-side cycle; components that do not
-    care about synchroniser latency simply use the base-class flags.
+    static-region clock and a PRR LCD).  ``sync_stages`` is the
+    flag-synchroniser depth the CDC lint (VAP2xx) checks; the data path
+    and flags are those of :class:`SyncFifo`.
     """
 
     def __init__(
@@ -211,50 +207,6 @@ class AsyncFifo(SyncFifo):
         self.write_domain = write_domain
         self.read_domain = read_domain
         self.sync_stages = sync_stages
-        self._reader_cycle = 0
-        # (reader_cycle_at_write + sync_stages) for each resident word
-        self._visible_at: Deque[int] = deque()
-
-    def push(self, word: Any) -> bool:
-        # fused copy of SyncFifo.push + visibility bookkeeping (hot path)
-        data = self._data
-        if len(data) >= self.capacity:
-            self.drops += 1
-            if self._drop_counter is not None:
-                self._drop_counter.inc()
-            return False
-        data.append(word)
-        self.pushes += 1
-        if self._ecc is not None:
-            self._ecc.append(word)
-        occupancy = len(data)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
-        if self._occ_hist is not None:
-            self._occ_hist.observe(occupancy)
-        self._visible_at.append(self._reader_cycle + self.sync_stages)
-        return True
-
-    def pop(self) -> Any:
-        word = super().pop()
-        if self._visible_at:
-            self._visible_at.popleft()
-        return word
-
-    def clear(self) -> None:
-        super().clear()
-        self._visible_at.clear()
-
-    def reader_tick(self) -> None:
-        """Advance the read-side cycle used for flag synchronisation."""
-        self._reader_cycle += 1
-
-    @property
-    def sync_empty(self) -> bool:
-        """Empty flag as seen through the read-side synchroniser."""
-        if not self._visible_at:
-            return True
-        return self._visible_at[0] > self._reader_cycle
 
 
 def interleave_status(fifos: List[SyncFifo]) -> List[Tuple[str, int, int, int]]:

@@ -264,9 +264,10 @@ class Simulator:
 
     @property
     def fastpath_stats(self) -> Dict[str, int]:
-        """Fast-path counters (windows entered, edges dispatched, bails)."""
+        """Fast-path counters (windows entered, edges dispatched, bails,
+        edges skipped ahead while every component was quiescent)."""
         if self._fastpath is None:
-            return {"windows": 0, "edges": 0, "bails": 0}
+            return {"windows": 0, "edges": 0, "bails": 0, "skipped": 0}
         return self._fastpath.stats()
 
     def run_for(self, delay_ps: int) -> None:

@@ -149,3 +149,74 @@ def test_active_channels_excludes_released():
     assert fabric.active_channels == [channel]
     channel.release()
     assert fabric.active_channels == []
+
+
+# ----------------------------------------------------------------------
+# quiescence (fast-path skip-ahead contract)
+# ----------------------------------------------------------------------
+def test_idle_channel_is_quiescent():
+    channel, producer, _ = make_channel(d=3)
+    assert channel.quiescent()
+    producer.fifo_ren = False
+    producer.module_write(7)
+    assert channel.quiescent()  # data parked behind a cleared FIFO_ren
+    producer.fifo_ren = True
+    assert not channel.quiescent()  # would drive a word this edge
+
+
+def test_word_in_flight_is_not_quiescent():
+    channel, producer, consumer = make_channel(d=3)
+    producer.module_write(7)
+    tick(channel)
+    for _ in range(3):
+        assert not channel.quiescent()
+        tick(channel)
+    assert consumer.module_read() == 7
+    assert channel.quiescent()
+
+
+def fill_to_feedback(channel, producer, consumer):
+    """Fill the consumer FIFO until the feedback-full signal asserts."""
+    producer.fifo_ren = False
+    for value in range(5):  # depth 8, remaining 3 <= slack 2*d = 4
+        consumer.receive(True, value)
+    assert consumer.full_feedback
+
+
+def test_feedback_in_flight_is_not_quiescent():
+    channel, producer, consumer = make_channel(d=2, depth=8)
+    fill_to_feedback(channel, producer, consumer)
+    for _ in range(2):
+        assert not channel.quiescent()
+        tick(channel)
+    assert channel.quiescent()
+
+
+def test_backpressured_stall_is_quiescent_and_counted():
+    """idle_advance(n) counts what n real edges would: n stall cycles."""
+    stalls = []
+    for advance in (tick, lambda channel, n: channel.idle_advance(n)):
+        channel, producer, consumer = make_channel(d=2, depth=8)
+        fill_to_feedback(channel, producer, consumer)
+        tick(channel, 2)
+        producer.fifo_ren = True
+        producer.module_write(9)
+        assert channel.quiescent()
+        advance(channel, 5)
+        assert len(producer.fifo) == 1
+        stalls.append(channel.stall_cycles)
+    assert stalls == [5, 5]
+
+
+def test_fabric_is_quiescent_only_when_every_channel_is():
+    fabric = SwitchFabric()
+    idle, _, _ = make_channel(d=2)
+    busy, producer, _ = make_channel(d=2)
+    fabric.add(idle)
+    assert fabric.quiescent()
+    busy.channel_id = 1
+    fabric.add(busy)
+    producer.module_write(1)
+    assert not fabric.quiescent()
+    busy.release()
+    assert fabric.quiescent()

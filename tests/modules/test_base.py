@@ -281,3 +281,54 @@ def test_eos_waits_for_output_space():
     tick(module, 3)
     assert producer.fifo.pop() == EOS_WORD
     assert module.halted
+
+
+# ----------------------------------------------------------------------
+# quiescence (fast-path skip-ahead contract)
+# ----------------------------------------------------------------------
+def test_mid_sample_and_pending_work_are_not_quiescent():
+    module = Doubler(cycles_per_sample=3)
+    consumer, producer, fsl_in, _ = harness(module, out_depth=1)
+    assert module.quiescent()
+    feed(consumer, [5, 6])
+    assert not module.quiescent()  # readable input
+    tick(module)
+    consumer.module_read()
+    assert not module.quiescent()  # busy mid-sample
+    tick(module, 2)
+    assert producer.fifo.full
+    feed(consumer, [7])
+    tick(module, 3)
+    assert module._pending_out and not module.quiescent()  # blocked emit
+    collect(producer)
+    tick(module)
+    assert module.quiescent()
+    fsl_in.master_write(CMD_FLUSH, control=True)
+    assert not module.quiescent()  # command waiting
+    tick(module)
+    assert not module.quiescent()  # flushing
+
+
+def test_idle_advance_matches_idle_commits():
+    counters = []
+    for started in (True, False):
+        stepped = Doubler() if started else staged(Doubler())
+        advanced = Doubler() if started else staged(Doubler())
+        harness(stepped)
+        harness(advanced)
+        assert stepped.quiescent() and advanced.quiescent()
+        tick(stepped, 6)
+        advanced.idle_advance(6)
+        counters.append(
+            [(m.lcd_cycles, m.stall_cycles) for m in (stepped, advanced)]
+        )
+    assert counters == [[(6, 6), (6, 6)], [(6, 0), (6, 0)]]
+
+
+def test_module_in_reset_is_quiescent_without_counting():
+    module = Doubler()
+    harness(module)
+    module.in_reset = True
+    assert module.quiescent()
+    module.idle_advance(4)
+    assert module.lcd_cycles == 0

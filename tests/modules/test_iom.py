@@ -138,3 +138,34 @@ def test_unbound_iom_is_inert():
     iom = Iom("io", source=iter([1]))
     tick(iom, 3)
     assert iom.words_emitted == 0
+
+
+# ----------------------------------------------------------------------
+# quiescence (fast-path skip-ahead contract)
+# ----------------------------------------------------------------------
+def test_iom_quiescent_only_without_work():
+    assert Iom("unbound").quiescent()
+    iom = Iom("io", source=iter([1, 2]))
+    consumer, producer, ports = harness(iom)
+    assert not iom.quiescent()  # a source word could be pushed
+    tick(iom, 2)
+    assert not iom.quiescent()  # exhaustion is only seen on the next pull
+    tick(iom)
+    assert iom.source_exhausted and iom.quiescent()
+    consumer.receive(True, 5)
+    assert not iom.quiescent()
+    tick(iom)
+    ports.fsl_in.master_write(0, control=True)
+    assert not iom.quiescent()
+
+
+def test_iom_with_full_producer_is_quiescent():
+    iom = Iom("io", source=iter(range(100)))
+    _, producer, _ = harness(iom, depth=4)
+    tick(iom, 4)
+    assert iom.quiescent()
+    before = iom.cycles
+    tick(iom, 3)
+    assert iom.words_emitted == 4
+    iom.idle_advance(3)
+    assert iom.cycles == before + 6

@@ -11,6 +11,14 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.baselines.shared_bus import SharedBus
+from repro.comm.fsl import FslLink
+from repro.comm.interfaces import ConsumerInterface, ProducerInterface
+from repro.modules.adapters import FslToStream, StreamToFsl
+from repro.modules.base import ModulePorts
+from repro.modules.transforms import PassThrough
 from repro.sim.clock import Bufgmux, Clock, ClockedComponent, FixedSource
 from repro.sim.kernel import Simulator
 
@@ -237,7 +245,9 @@ def test_stats_and_runtime_toggle():
     assert stats["bails"] == 0
     sim.set_fastpath(False)
     assert not sim.fastpath_enabled
-    assert sim.fastpath_stats == {"windows": 0, "edges": 0, "bails": 0}
+    assert sim.fastpath_stats == {
+        "windows": 0, "edges": 0, "bails": 0, "skipped": 0
+    }
     before = sim.events_processed
     sim.run_until(300_000)
     assert sim.events_processed == before + 20  # heap path still correct
@@ -271,3 +281,80 @@ def test_events_processed_accounting_matches_heap_exactly():
         sim_f.run_until(horizon)
         sim_h.run_until(horizon)
         assert sim_f.events_processed == sim_h.events_processed
+
+
+# ----------------------------------------------------------------------
+# quiescence skip-ahead: which components may be skipped
+# ----------------------------------------------------------------------
+class OwnCommit(PassThrough):
+    """A HardwareModule subclass that changes the edge, not quiescent()."""
+
+    def commit(self):
+        super().commit()
+
+
+def bound(module):
+    """``module`` bound to empty interfaces and FSLs: idle, started."""
+    module.bind(
+        ModulePorts(
+            [ConsumerInterface("c", depth=8)],
+            [ProducerInterface("p", depth=8)],
+            FslLink("t", depth=4),
+            FslLink("r", depth=4),
+        )
+    )
+    return module
+
+
+def test_default_component_is_never_quiescent():
+    assert ClockedComponent().quiescent() is False
+    assert Recorder([], None, "r").quiescent() is False
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        bound(StreamToFsl("s2f")),
+        bound(FslToStream("f2s")),
+        bound(OwnCommit("own")),
+        SharedBus(),
+    ],
+    ids=["StreamToFsl", "FslToStream", "HardwareModule-subclass", "SharedBus"],
+)
+def test_commit_override_without_quiescent_is_never_skipped(component):
+    assert component.quiescent() is False
+
+
+def test_subclass_defining_quiescent_keeps_it():
+    class Idle(OwnCommit):
+        def quiescent(self):
+            return True
+
+    assert Idle("idle").quiescent() is True
+
+
+def run_idle_module(module_factory, fastpath):
+    sim = Simulator(use_fastpath=fastpath)
+    clk = Clock(sim, freq_hz=100e6, name="lcd")
+    module = bound(module_factory())
+    clk.attach(module)
+    clk.start()
+    sim.schedule(3_000_000, lambda: None)
+    sim.run_until(5_000_000)
+    counters = (module.lcd_cycles, module.stall_cycles, clk.cycles)
+    return counters, sim.events_processed, drawn_seq(sim), sim
+
+
+def test_idle_module_is_skipped_bit_identically():
+    heap = run_idle_module(lambda: PassThrough("pt"), fastpath=False)
+    fast = run_idle_module(lambda: PassThrough("pt"), fastpath=True)
+    assert fast[:3] == heap[:3]
+    assert heap[0][0] == 500
+    assert fast[3].fastpath_stats["skipped"] > 400
+
+
+def test_never_quiescent_module_is_dispatched_every_edge():
+    heap = run_idle_module(lambda: StreamToFsl("s2f"), fastpath=False)
+    fast = run_idle_module(lambda: StreamToFsl("s2f"), fastpath=True)
+    assert fast[:3] == heap[:3]
+    assert fast[3].fastpath_stats["skipped"] == 0
