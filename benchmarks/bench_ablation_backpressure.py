@@ -35,7 +35,6 @@ def run_channel(d, slack_override=None, depth=None):
             producer.module_write(sent)
             sent += 1
         channel.sample()
-        channel.commit()
         # consumer drains slowly: 1 word every 5 cycles
         if cycle % 5 == 0 and consumer.module_can_read:
             consumer.module_read()

@@ -75,7 +75,6 @@ def test_interface_valid_bit_and_backpressure(benchmark):
                 producer.module_write(sent)
                 sent += 1
             channel.sample()
-            channel.commit()
             if cycle % 5 == 0 and consumer.module_can_read:
                 received.append(consumer.module_read())
         while consumer.module_can_read:

@@ -9,16 +9,17 @@ words traverse are reserved exclusively for the channel by the router, so
 the per-channel shift is cycle-exact.
 
 :class:`SwitchFabric` is the clocked component that advances every
-established channel each static-clock cycle, using the kernel's
-sample/commit phases so producers and consumers observe consistent
-pre-edge state.
+established channel each static-clock cycle.  It has only a sample
+phase: each channel delivers its tails, drives its producer and shifts
+its registers in one step, before any module or IOM commits, so the
+modules at both ends observe consistent pre-edge state.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.comm.interfaces import (
     INVALID_WORD,
@@ -52,11 +53,9 @@ class StreamingChannel:
         self.consumer = consumer
         self.hops = list(hops)
         self.d = len(hops)
-        # deques: the per-cycle shift is appendleft+pop, no list rebuilds
+        # deques: the per-cycle shift is pop+appendleft, no list rebuilds
         self._forward: Deque[Tuple[bool, int]] = deque([INVALID_WORD] * self.d)
         self._backward: Deque[bool] = deque([False] * self.d)
-        self._staged_forward: Optional[Tuple[bool, int]] = None
-        self._staged_backward: Optional[bool] = None
         self.released = False
         self.words_delivered = 0
         #: fabric cycles the producer had data ready but the arrived
@@ -80,10 +79,18 @@ class StreamingChannel:
     # clocking (driven by SwitchFabric)
     # ------------------------------------------------------------------
     def sample(self) -> None:
-        """Phase 1: deliver the pipeline tail, stage the new head values."""
+        """One fabric cycle: deliver the pipeline tails and shift in the
+        new heads.
+
+        Shifting here rather than in a commit phase is safe because no
+        other component's sample phase reads the channel's registers, and
+        software observes them only after the instant's commits.
+        """
         if self.released:
             return
-        valid, word = self._forward[-1]
+        forward = self._forward
+        backward = self._backward
+        valid, word = forward.pop()
         if valid:
             if self.fault_data_or:
                 word |= self.fault_data_or
@@ -96,33 +103,23 @@ class StreamingChannel:
             self.consumer.receive(valid, word)
             self.words_delivered += 1
         # feedback that has reached the producer end gates the FIFO read
-        backpressured = self._backward[-1] or self.fault_stuck_full
-        if (
-            backpressured
-            and self.producer.fifo_ren
-            and not self.producer.fifo.empty
-        ):
-            self.stall_cycles += 1
-        self._staged_forward = self.producer.drive(
-            backpressured=backpressured
+        backpressured = backward.pop() or self.fault_stuck_full
+        producer = self.producer
+        if producer.fifo_ren and producer.fifo._data:
+            if backpressured:
+                self.stall_cycles += 1
+                head = INVALID_WORD
+            else:
+                head = producer.drive(False)
+                if self.check_signatures:
+                    self._sent_sigs.append(self._signature(head[1]))
+        else:
+            head = INVALID_WORD
+        forward.appendleft(head)
+        fifo = self.consumer.fifo
+        backward.appendleft(
+            fifo.capacity - len(fifo._data) <= fifo.almost_full_slack
         )
-        if self.check_signatures and self._staged_forward[0]:
-            self._sent_sigs.append(self._signature(self._staged_forward[1]))
-        self._staged_backward = self.consumer.full_feedback
-
-    def commit(self) -> None:
-        """Phase 2: shift both pipelines."""
-        staged = self._staged_forward
-        if self.released or staged is None:
-            return
-        forward = self._forward
-        forward.appendleft(staged)
-        forward.pop()
-        backward = self._backward
-        backward.appendleft(self._staged_backward)
-        backward.pop()
-        self._staged_forward = None
-        self._staged_backward = None
 
     def quiescent(self) -> bool:
         """True when an edge would at most count a stall: no valid word in
@@ -198,7 +195,7 @@ class SwitchFabric(ClockedComponent):
         self.name = name
         self.channels: Dict[int, StreamingChannel] = {}
         # insertion-ordered snapshot iterated every cycle; rebuilt on
-        # add/remove so sample/commit avoid a dict-view walk per phase
+        # add/remove so sample avoids a dict-view walk per cycle
         self._channel_list: List[StreamingChannel] = []
 
     def add(self, channel: StreamingChannel) -> None:
@@ -212,10 +209,6 @@ class SwitchFabric(ClockedComponent):
     def sample(self) -> None:
         for channel in self._channel_list:
             channel.sample()
-
-    def commit(self) -> None:
-        for channel in self._channel_list:
-            channel.commit()
 
     def quiescent(self) -> bool:
         return all(channel.quiescent() for channel in self._channel_list)

@@ -156,7 +156,8 @@ class ConsumerInterface:
 
     @property
     def full_feedback(self) -> bool:
-        """The feedback FIFO-full signal launched back up the channel."""
+        """The feedback FIFO-full signal launched back up the channel
+        (:meth:`StreamingChannel.sample` computes it inline)."""
         return self.fifo.almost_full
 
     # ------------------------------------------------------------------

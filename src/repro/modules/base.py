@@ -195,13 +195,17 @@ class HardwareModule(ClockedComponent):
     # per-LCD-cycle FSM
     # ------------------------------------------------------------------
     def commit(self) -> None:
-        if self.in_reset or self.halted or self.ports is None:
+        ports = self.ports
+        if self.in_reset or self.halted or ports is None:
             return
         self.lcd_cycles += 1
-        self._poll_fsl_commands()
+        link = ports.fsl_in
+        if link is not None and link.fifo._data:
+            self._poll_fsl_commands(link)
         if not self.started:
             return
-        if self._drain_pending():
+        if self._pending_out or self._eos_pending or self._state_to_send:
+            self._drain_pending()
             return
         if self._busy_cycles > 0:
             self._busy_cycles -= 1
@@ -251,10 +255,7 @@ class HardwareModule(ClockedComponent):
             self.stall_cycles += cycles
 
     # -- FSM pieces -----------------------------------------------------
-    def _poll_fsl_commands(self) -> None:
-        link = self.ports.fsl_in
-        if link is None:
-            return
+    def _poll_fsl_commands(self, link: FslLink) -> None:
         while link.can_read:
             data, control = link.slave_read()
             if control:
@@ -315,6 +316,16 @@ class HardwareModule(ClockedComponent):
     def _complete_sample(self) -> None:
         result = self.process(self._in_flight)
         self._in_flight = None
+        if type(result) is int and not self._pending_out:
+            # one word and nothing queued: what _drain_pending would do
+            self._emit_monitoring()
+            word = to_u32(result)
+            if self._producer(0).module_write(word):
+                self.samples_out += 1
+            else:
+                self._pending_out.append((0, word))
+                self.stall_cycles += 1
+            return
         if result is None:
             outputs: List[Tuple[int, int]] = []
         elif isinstance(result, int):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional
 
+from repro.comm.fsl import FslLink
 from repro.modules.base import EOS_WORD, ModulePorts
 from repro.modules.state import from_u32, to_u32
 from repro.sim.clock import ClockedComponent
@@ -79,10 +80,13 @@ class Iom(ClockedComponent):
         self.eos_armed = True
 
     def commit(self) -> None:
-        if self.ports is None:
+        ports = self.ports
+        if ports is None:
             return
         self.cycles += 1
-        self._poll_commands()
+        link = ports.fsl_in
+        if link is not None and link.fifo._data:
+            self._poll_commands(link)
         self._push_input()
         self._pull_output()
 
@@ -107,10 +111,7 @@ class Iom(ClockedComponent):
         if self.ports is not None:
             self.cycles += cycles
 
-    def _poll_commands(self) -> None:
-        link = self.ports.fsl_in
-        if link is None:
-            return
+    def _poll_commands(self, link: FslLink) -> None:
         while link.can_read:
             data, control = link.slave_read()
             if control and data == CMD_ARM_EOS:
@@ -123,8 +124,9 @@ class Iom(ClockedComponent):
         if self.cycles % self.push_interval:
             return
         producer = self.ports.producers[0]
+        fifo = producer.fifo
         for _ in range(self.words_per_push):
-            if not producer.module_can_write:
+            if len(fifo._data) >= fifo.capacity:
                 return
             try:
                 sample = next(self._source)

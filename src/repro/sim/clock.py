@@ -21,7 +21,14 @@ take effect on the next edge, as on the real primitives.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import (
+    Callable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.sim.kernel import (
     CLOCK_EPOCH,
@@ -38,7 +45,9 @@ class Clocked(Protocol):
     """Protocol for components attached to a :class:`Clock`.
 
     ``sample`` runs for every component at an edge before any ``commit``
-    runs, giving register semantics.  Either method may be a no-op.
+    runs, giving register semantics.  Either method may be a no-op; a
+    phase a :class:`ClockedComponent` subclass inherits unchanged (the
+    base class's no-op) is never called at all.
     """
 
     def sample(self) -> None: ...
@@ -48,6 +57,10 @@ class Clocked(Protocol):
 
 class ClockedComponent:
     """Convenience base class with no-op clock phases.
+
+    :class:`Clock` leaves an inherited no-op phase out of its per-edge
+    phase lists, so a component that only commits costs nothing in the
+    sample phase (and vice versa).
 
     ``quiescent`` and ``idle_advance`` let the fast path skip idle clock
     edges (see :mod:`repro.sim.fastpath`).  ``quiescent()`` may return True
@@ -279,9 +292,11 @@ class Clock:
 
     Each edge runs two phases at the same timestamp: all attached
     components' ``sample`` (priority ``PRIORITY_SAMPLE``) then all
-    ``commit`` (priority ``PRIORITY_COMMIT``).  The period is re-read from
-    the source at every edge, so BUFGMUX reselects and BUFR divides apply on
-    the following edge exactly as in hardware.
+    ``commit`` (priority ``PRIORITY_COMMIT``), through the
+    :attr:`samplers`/:attr:`committers` phase lists.  A phase probe sees
+    every component in both phases, no-ops included.  The period is
+    re-read from the source at every edge, so BUFGMUX reselects and BUFR
+    divides apply on the following edge exactly as in hardware.
     """
 
     def __init__(
@@ -298,6 +313,10 @@ class Clock:
         self.source = source if source is not None else FixedSource(freq_hz, name)
         self.source.attach_clock(self)
         self.components: List[Clocked] = []
+        #: bound ``sample``/``commit`` methods an edge calls, in attach
+        #: order; rebuilt by attach/detach (see :meth:`_rebuild_phases`)
+        self.samplers: Tuple[Callable[[], None], ...] = ()
+        self.committers: Tuple[Callable[[], None], ...] = ()
         self.cycles = 0
         self._enabled = True
         self._started = False
@@ -319,9 +338,29 @@ class Clock:
     def attach(self, component: Clocked) -> None:
         """Register a component to be driven by this clock."""
         self.components.append(component)
+        self._rebuild_phases()
 
     def detach(self, component: Clocked) -> None:
         self.components.remove(component)
+        self._rebuild_phases()
+
+    def _rebuild_phases(self) -> None:
+        """Recompute :attr:`samplers` and :attr:`committers`.
+
+        A phase a :class:`ClockedComponent` subclass inherits unchanged
+        is the base class's no-op and is left out; duck-typed
+        :class:`Clocked` objects keep both phases.
+        """
+        samplers = []
+        committers = []
+        for component in self.components:
+            cls = type(component)
+            if getattr(cls, "sample", None) is not ClockedComponent.sample:
+                samplers.append(component.sample)
+            if getattr(cls, "commit", None) is not ClockedComponent.commit:
+                committers.append(component.commit)
+        self.samplers = tuple(samplers)
+        self.committers = tuple(committers)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -364,8 +403,8 @@ class Clock:
         self.cycles += 1
         probe = self.sim.phase_probe
         if probe is None:
-            for component in self.components:
-                component.sample()
+            for sample in self.samplers:
+                sample()
         else:
             for component in self.components:
                 probe.begin(component, "sample", self.sim.now)
@@ -380,8 +419,8 @@ class Clock:
     def _commit_phase(self) -> None:
         probe = self.sim.phase_probe
         if probe is None:
-            for component in self.components:
-                component.commit()
+            for commit in self.committers:
+                commit()
         else:
             for component in self.components:
                 probe.begin(component, "commit", self.sim.now)

@@ -26,6 +26,14 @@ reproduces the heap kernel bit for bit:
   engine reconstructs the exact heap state the classic kernel would have
   had at that point and returns control to it.
 
+An instant calls each due clock's phase lists
+(:attr:`~repro.sim.clock.Clock.samplers`, then
+:attr:`~repro.sim.clock.Clock.committers`), so inherited no-op phases
+cost nothing.  Once a window's pass order has settled (see
+:meth:`FastPathEngine._plan`), each slot's group of clocks is compiled
+once, in dispatch order, instead of being filtered and sorted at every
+instant.
+
 Windows bounded by a ``run_until`` target or by the earliest non-edge
 event never dispatch past either bound, so ``PRIORITY_NORMAL`` timers,
 DMA/ICAP completions and software steps interleave with clock edges in
@@ -72,7 +80,7 @@ from heapq import heapify, heappush
 from itertools import count
 from math import gcd
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import (
     CLOCK_EPOCH,
@@ -310,6 +318,10 @@ class FastPathEngine:
     ) -> None:
         """Hot loop: walk the slot table cycle by cycle up to ``limit``.
 
+        Each pass dispatches the compiled groups of :meth:`_plan` once it
+        returns them; until then every instant filters and sorts its due
+        clocks.
+
         Every :data:`SKIP_CHECK_PASSES` whole passes, if all adopted
         components are quiescent, all but the last whole pass left before
         ``limit`` are advanced arithmetically by :meth:`_skip_ahead`.
@@ -317,6 +329,7 @@ class FastPathEngine:
         states = self._states
         cycle = t0
         passes = 0
+        plan = None
         while True:
             if passes == SKIP_CHECK_PASSES:
                 passes = 0
@@ -325,25 +338,70 @@ class FastPathEngine:
                     self._skip_ahead(skip, cycle, hyper, slots[-1][0])
                     cycle += skip * hyper
             passes += 1
+            if plan is None:
+                plan = self._plan(slots, cycle)
+            if plan is not None:
+                for offset, group in plan:
+                    t = cycle + offset
+                    if t > limit:
+                        self._finish([])
+                        return
+                    if not self._dispatch_instant(t, group):
+                        return
+                cycle += hyper
+                continue
             for offset, indices in slots:
                 t = cycle + offset
                 if t > limit:
                     self._finish([])
                     return
-                if len(indices) == 1:
-                    st = states[indices[0]]
-                    due = [st] if st.enabled and st.next_time == t else []
-                else:
-                    due = [
-                        states[i]
-                        for i in indices
-                        if states[i].enabled and states[i].next_time == t
-                    ]
-                    if len(due) > 1:
-                        due.sort(key=_BY_SEQ)
+                due = [
+                    states[i]
+                    for i in indices
+                    if states[i].enabled and states[i].next_time == t
+                ]
+                if len(due) > 1:
+                    due.sort(key=_BY_SEQ)
                 if due and not self._dispatch_instant(t, due):
                     return
             cycle += hyper
+
+    def _plan(
+        self, slots: List[Tuple[int, List[int]]], cycle: int
+    ) -> Optional[List[Tuple[int, Tuple[_ClockState, ...]]]]:
+        """Compile each slot's dispatch group for the pass starting at
+        ``cycle``, or None while the per-instant filter is still needed.
+
+        A pending edge's seq is drawn at its clock's previous edge, one
+        period before it fires.  So at an instant shared by several
+        clocks, the clock of the longest period drew first, and clocks of
+        equal period (hence equal phase) keep the order they are in now.
+        That makes each slot's group and order fixed for the rest of an
+        undisturbed window -- any gate or epoch change ends it -- provided
+        that every clock's next edge falls in this pass (so every slot of
+        the pass finds it due) and that the seqs drawn before this pass
+        are ordered like the times ``next_time - period`` they were drawn
+        at (not so after a BUFGMUX reselect changed a pending period).
+        """
+        states = self._states
+        for st in states:
+            if not (st.enabled and cycle <= st.next_time < cycle + st.period):
+                return None
+        drawn = [st.next_time - st.period for st in sorted(states, key=_BY_SEQ)]
+        if any(later < earlier for earlier, later in zip(drawn, drawn[1:])):
+            return None
+        return [
+            (
+                offset,
+                tuple(
+                    sorted(
+                        (states[i] for i in indices),
+                        key=lambda st: (-st.period, st.seq),
+                    )
+                ),
+            )
+            for offset, indices in slots
+        ]
 
     def _quiescent(self) -> bool:
         """True when every component on every adopted clock is idle."""
@@ -401,12 +459,13 @@ class FastPathEngine:
             if not self._dispatch_instant(t, due):
                 return
 
-    def _dispatch_instant(self, t: int, due: List[_ClockState]) -> bool:
+    def _dispatch_instant(self, t: int, due: Sequence[_ClockState]) -> bool:
         """Run one merged instant ``t`` exactly as the heap kernel would.
 
-        ``due`` holds the states whose virtual edge fires at ``t``, in
-        pending-seq order.  Returns False when the window bailed (heap
-        state already reconstructed), True to keep dispatching.
+        ``due`` holds the states whose virtual edge fires at ``t`` (a
+        compiled slot group or the filtered list), in pending-seq order.
+        Returns False when the window bailed (heap state already
+        reconstructed), True to keep dispatching.
         """
         sim = self.sim
         queue = sim._queue
@@ -424,8 +483,9 @@ class FastPathEngine:
                 continue
             clock = st.clock
             clock.cycles += 1
-            for component in clock.components:
-                component.sample()
+            samplers = clock.samplers
+            for sample in samplers:
+                sample()
             st.commit_seq = next(seq_counter)
             if st.enabled:  # a sample callback may have gated *this* clock
                 st.seq = next(seq_counter)
@@ -437,7 +497,7 @@ class FastPathEngine:
                 st.next_time = t + st.period
             pending.append(st)
             samples_run += 1
-            if len(queue) != base_len:
+            if samplers and len(queue) != base_len:
                 self._edges += samples_run
                 sim.events_processed += samples_run
                 self._bail(t, pending)
@@ -451,10 +511,11 @@ class FastPathEngine:
             return False
         commits_run = 0
         for index, st in enumerate(pending):
-            for component in st.clock.components:
-                component.commit()
+            committers = st.clock.committers
+            for commit in committers:
+                commit()
             commits_run += 1
-            if len(queue) != base_len:
+            if committers and len(queue) != base_len:
                 sim.events_processed += samples_run + commits_run
                 self._bail(t, pending[index + 1 :])
                 return False

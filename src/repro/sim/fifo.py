@@ -18,12 +18,27 @@ counter is what the back-pressure benchmarks assert to be zero.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from functools import lru_cache
 from typing import Any, Deque, List, Tuple
 
 
 class FifoError(Exception):
     """Raised on misuse (popping an empty FIFO, bad capacity, ...)."""
+
+
+@lru_cache(maxsize=None)
+def occupancy_buckets(
+    bounds: Tuple[float, ...], capacity: int
+) -> Tuple[int, ...]:
+    """Histogram bucket index of every occupancy ``0..capacity``.
+
+    ``Histogram.observe`` bisects its bounds per sample; a bound FIFO
+    indexes this table instead.  One table per (bounds, capacity) is
+    shared by every FIFO, so binding a system's FIFOs builds each once.
+    """
+    return tuple(bisect_left(bounds, occ) for occ in range(capacity + 1))
 
 
 class SyncFifo:
@@ -56,6 +71,7 @@ class SyncFifo:
         self.max_occupancy = 0
         # optional obs instruments (see bind_metrics); None = zero cost
         self._occ_hist = None
+        self._occ_buckets: Tuple[int, ...] = ()
         self._drop_counter = None
         # optional ECC shadow (repro.faults): a golden copy of the stored
         # words, so single-bit upsets injected into the BRAM contents are
@@ -69,11 +85,16 @@ class SyncFifo:
 
         Records an occupancy histogram sample per successful push and a
         drop counter per rejected push.  Unbound FIFOs pay only a None
-        check on the data path.
+        check on the data path.  A push updates the histogram's counts,
+        sum and count directly, through the shared
+        :func:`occupancy_buckets` table, exactly as ``observe`` would.
         """
         labels = {"fifo": label or self.name}
         self._occ_hist = registry.histogram(
             "repro_fifo_occupancy", labels=labels
+        )
+        self._occ_buckets = occupancy_buckets(
+            self._occ_hist.buckets, self.capacity
         )
         self._drop_counter = registry.counter(
             "repro_fifo_drops_total", labels=labels
@@ -120,8 +141,11 @@ class SyncFifo:
         occupancy = len(data)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
-        if self._occ_hist is not None:
-            self._occ_hist.observe(occupancy)
+        hist = self._occ_hist
+        if hist is not None:
+            hist.counts[self._occ_buckets[occupancy]] += 1
+            hist.sum += occupancy
+            hist.count += 1
         return True
 
     def pop(self) -> Any:

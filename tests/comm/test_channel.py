@@ -21,7 +21,6 @@ def make_channel(d=3, depth=32):
 def tick(channel, n=1):
     for _ in range(n):
         channel.sample()
-        channel.commit()
 
 
 def test_channel_requires_hops():
@@ -39,6 +38,23 @@ def test_pipeline_latency_is_d_plus_one_cycles():
     assert not consumer.module_can_read  # still in flight
     tick(channel, 1)
     assert consumer.module_read() == 99
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_each_sample_moves_a_word_one_register(d):
+    """One sample() is a whole fabric cycle: n calls move a word n
+    registers, with no separate commit phase."""
+    channel, producer, consumer = make_channel(d=d)
+    producer.module_write(7)
+    for n in range(1, d + 1):
+        channel.sample()
+        assert [valid for valid, _ in channel._forward] == [
+            index == n - 1 for index in range(d)
+        ]
+        assert not consumer.module_can_read
+    channel.sample()
+    assert channel.in_flight == 0
+    assert consumer.module_read() == 7
 
 
 def test_one_word_per_cycle_throughput():

@@ -45,7 +45,6 @@ def test_channel_lossless_in_order_any_pacing(
             producer.module_write(sent)
             sent += 1
         channel.sample()
-        channel.commit()
         if cycle % drain_period == 0:
             while consumer.module_can_read and seed.random() < 0.8:
                 received.append(consumer.module_read())
@@ -66,7 +65,6 @@ def test_backpressure_keeps_occupancy_bounded(d, burst):
         producer.module_write(value)
     for _ in range(burst + 10 * d + 20):
         channel.sample()
-        channel.commit()
     assert consumer.words_discarded == 0
     assert len(consumer.fifo) <= depth
 
@@ -80,7 +78,6 @@ def test_release_accounts_for_all_words(d, inflight):
         producer.module_write(value)
     for _ in range(inflight):
         channel.sample()
-        channel.commit()
     total = producer.words_sent
     lost = channel.release()
     assert total == consumer.words_received + lost

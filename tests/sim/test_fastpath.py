@@ -204,6 +204,39 @@ def test_retune_from_commit_callback_equivalence():
     assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
 
 
+def test_retune_reorders_ties_after_the_first_pass():
+    """A slowed clock's pending edge keeps the seq it drew before the
+    retune.  At the first shared instant it follows the clock that drew
+    before it; from then on the longer period leads.  The compiled slot
+    plan must not impose the later order on that first pass."""
+
+    def build(fastpath):
+        sim = Simulator(use_fastpath=fastpath)
+        mux = Bufgmux(FixedSource(100e6), FixedSource(50e6))
+        sysclk = Clock(sim, freq_hz=100e6, name="sys")
+        lcd = Clock(sim, source=mux, name="lcd")
+        log = []
+        sysclk.attach(Recorder(log, sim, "sys"))
+        lcd.attach(Recorder(log, sim, "lcd"))
+        sysclk.start()  # draws its first seq before the lcd does
+        lcd.start()
+        sim.schedule(5_000, lambda: mux.select(1))
+        return sim, (sysclk, lcd), log
+
+    sim_h, clocks_h, log_h = build(False)
+    sim_f, clocks_f, log_f = build(True)
+    sim_h.run_until(200_000)
+    sim_f.run_until(200_000)
+    samples = [(t, name) for t, phase, name in log_h if phase == "s"]
+    assert samples[:2] == [(10_000, "sys"), (10_000, "lcd")]
+    assert (30_000, "lcd") in samples
+    assert samples.index((30_000, "lcd")) < samples.index((30_000, "sys"))
+    assert log_f == log_h
+    assert sim_f.events_processed == sim_h.events_processed
+    assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
+    assert drawn_seq(sim_f) == drawn_seq(sim_h)
+
+
 def test_phase_probe_suppresses_fastpath():
     calls = []
 
