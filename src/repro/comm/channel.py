@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, Hashable, List, Tuple
 
 from repro.comm.interfaces import (
     INVALID_WORD,
@@ -28,6 +28,7 @@ from repro.comm.interfaces import (
 )
 from repro.comm.switchbox import LaneRef
 from repro.sim.clock import ClockedComponent
+from repro.sim.fastpath import Replay, Stage
 
 
 class StreamingChannel:
@@ -144,6 +145,64 @@ class StreamingChannel:
             self.stall_cycles += cycles
 
     # ------------------------------------------------------------------
+    # steady-state replay (repro.sim.fastpath)
+    # ------------------------------------------------------------------
+    def steady_key(self) -> Hashable:
+        """Valid and feedback bits, enables and both FIFOs' keys.  A
+        fault hook or the signature watchdog adds the word counts, so the
+        key then repeats only while no word moves; past discards join it
+        so a new one breaks it."""
+        if self.released:
+            return 0
+        producer = self.producer
+        consumer = self.consumer
+        key = (
+            tuple([valid for valid, _ in self._forward]),
+            tuple(self._backward),
+            producer.fifo_ren,
+            producer.fifo.steady_key(),
+            consumer.fifo_wen,
+            consumer.fifo.steady_key(),
+            consumer.words_discarded,
+            self.fault_stuck_full,
+        )
+        if self.fault_data_or or self.check_signatures or producer.fault_or:
+            return (key, self.words_delivered, producer.words_sent)
+        return key
+
+    def steady_counters(self) -> Tuple[Tuple[object, Tuple[str, ...]], ...]:
+        return (
+            (self, ("words_delivered", "stall_cycles")),
+            (self.producer, ("words_sent",)),
+            (self.consumer, ("words_received", "words_gated")),
+        )
+
+    def steady_stages(self) -> Tuple[Stage, ...]:
+        if self.released:
+            return ()
+        return (Stage(self.producer.fifo, self.consumer.fifo, self._replay),)
+
+    def _replay(self, replay: Replay) -> None:
+        """Delay line: the words read from the producer FIFO push the
+        oldest in-flight words out to the consumer, which keeps them
+        unless ``FIFO_wen`` is low (then they only count as gated)."""
+        words = replay.take(self.producer.fifo)
+        count = len(words)
+        if not count:
+            return
+        forward = self._forward
+        valid = [i for i in range(self.d - 1, -1, -1) if forward[i][0]]
+        if valid:
+            line = [forward[i][1] for i in valid] + words
+            words = line[:count]
+            for i, word in zip(valid, line[count:]):
+                forward[i] = (True, word)
+        consumer = self.consumer
+        if consumer.fifo_wen:
+            mask = consumer.mask
+            replay.feed(consumer.fifo, [word & mask for word in words])
+
+    # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
         """Valid words currently inside the pipeline registers."""
@@ -216,6 +275,23 @@ class SwitchFabric(ClockedComponent):
     def idle_advance(self, cycles: int) -> None:
         for channel in self._channel_list:
             channel.idle_advance(cycles)
+
+    def steady_key(self) -> Hashable:
+        return tuple([channel.steady_key() for channel in self._channel_list])
+
+    def steady_counters(self) -> List[Tuple[object, Tuple[str, ...]]]:
+        return [
+            pair
+            for channel in self._channel_list
+            for pair in channel.steady_counters()
+        ]
+
+    def steady_stages(self) -> List[Stage]:
+        return [
+            stage
+            for channel in self._channel_list
+            for stage in channel.steady_stages()
+        ]
 
     @property
     def active_channels(self) -> List[StreamingChannel]:

@@ -27,12 +27,13 @@ switching methodology (Figure 5):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.fsl import FslLink
 from repro.comm.interfaces import ConsumerInterface, ProducerInterface
 from repro.modules.state import from_u32, to_u32
 from repro.sim.clock import ClockedComponent
+from repro.sim.fastpath import Replay, Stage
 
 #: Special end-of-stream word (the paper's 0xFFFFFFFF marker, step 5).
 EOS_WORD = 0xFFFFFFFF
@@ -93,13 +94,26 @@ class HardwareModule(ClockedComponent):
         emit a monitoring word every N processed samples (0 = never);
     ``auto_start``
         when False the module stays idle until ``CMD_START`` arrives
-        (used for the pre-initialised replacement module of Figure 5).
+        (used for the pre-initialised replacement module of Figure 5);
+    ``fixed_rate``
+        True when :meth:`process` returns exactly one ``int`` per word
+        and :meth:`select_input` always reads port 0, so steady-state
+        replay may move words through the module.  A subclass that
+        redefines either method without restating it is not fixed-rate.
     """
 
     cycles_per_sample: int = 1
     state_register_names: Tuple[str, ...] = ()
     monitor_interval: int = 0
     auto_start: bool = True
+    fixed_rate: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        if ("process" in own or "select_input" in own) and "fixed_rate" not in own:
+            # the parent's rate describes the parent's process()
+            cls.fixed_rate = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -253,6 +267,79 @@ class HardwareModule(ClockedComponent):
         self.lcd_cycles += cycles
         if self.started:
             self.stall_cycles += cycles
+
+    # -- steady-state replay (repro.sim.fastpath) -----------------------
+    def steady_key(self) -> Hashable:
+        """FSM phase, busy countdown, in-flight and pending-output
+        occupancy, and the keys of every port FIFO.
+
+        Words may move in a replay only through a :attr:`fixed_rate`
+        module with a port on each side.  Any other module, and any module
+        monitoring, flushing, checkpointing, restoring or pushing state,
+        adds its word counters, so its key repeats only while it is idle.
+        """
+        ports = self.ports
+        if self.in_reset or self.halted or ports is None:
+            return 0
+        key = (
+            self.started,
+            self._busy_cycles,
+            self._in_flight is None,
+            len(self._pending_out),
+            tuple([port.fifo.steady_key() for port in ports.consumers]),
+            tuple([port.fifo.steady_key() for port in ports.producers]),
+            ports.fsl_in.fifo.steady_key() if ports.fsl_in else 0,
+            ports.fsl_out.fifo.steady_key() if ports.fsl_out else 0,
+        )
+        if (
+            self.fixed_rate
+            and ports.consumers
+            and ports.producers
+            and not (
+                self.monitor_interval
+                or self.flushing
+                or self.checkpointing
+                or self._eos_pending
+                or self._state_to_send
+                or self._restore_buffer
+            )
+        ):
+            return key
+        return (key, self.samples_in, self.samples_out)
+
+    def steady_counters(self) -> Tuple[Tuple[object, Tuple[str, ...]], ...]:
+        return (
+            (self, ("lcd_cycles", "samples_in", "samples_out", "stall_cycles")),
+        )
+
+    def steady_stages(self) -> Tuple[Stage, ...]:
+        ports = self.ports
+        if not (self.fixed_rate and ports and ports.consumers and ports.producers):
+            return ()
+        return (
+            Stage(ports.consumers[0].fifo, ports.producers[0].fifo, self._replay),
+        )
+
+    def _replay(self, replay: Replay) -> None:
+        """Two delay lines around ``process``: the words read queue
+        behind the in-flight one, and the outputs behind the pending ones;
+        as many leave each line as enter it."""
+        words = replay.take(self.ports.consumers[0].fifo)
+        count = len(words)
+        if not count:
+            return
+        if self._in_flight is not None:
+            words.insert(0, self._in_flight)
+            self._in_flight = words.pop()
+        process = self.process
+        outputs = [to_u32(process(word)) for word in words]
+        if self._pending_out:
+            queued = [word for _, word in self._pending_out] + outputs
+            outputs = queued[:count]
+            self._pending_out = [(0, word) for word in queued[count:]]
+        producer = self.ports.producers[0]
+        mask = producer.mask
+        replay.feed(producer.fifo, [word & mask for word in outputs])
 
     # -- FSM pieces -----------------------------------------------------
     def _poll_fsl_commands(self, link: FslLink) -> None:

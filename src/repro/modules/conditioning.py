@@ -39,6 +39,8 @@ class Upsampler(HardwareModule):
 class AbsValue(HardwareModule):
     """Full-wave rectifier: |x| with saturation at INT32_MAX."""
 
+    fixed_rate = True
+
     def process(self, sample: int) -> int:
         return saturate32(abs(from_u32(sample)))
 

@@ -27,6 +27,8 @@ def q15(value: float) -> int:
 class FirFilter(HardwareModule):
     """Direct-form FIR filter; state registers are the delay line."""
 
+    fixed_rate = True
+
     def __init__(
         self,
         name: str,
@@ -129,6 +131,8 @@ class BiquadIir(HardwareModule):
 class MovingAverage(HardwareModule):
     """Sliding-window mean; window contents and index are state registers."""
 
+    fixed_rate = True
+
     def __init__(
         self,
         name: str,
@@ -177,6 +181,8 @@ class MovingAverage(HardwareModule):
 
 class MedianFilter(HardwareModule):
     """Sliding-window median (odd windows give the exact middle sample)."""
+
+    fixed_rate = True
 
     def __init__(
         self,

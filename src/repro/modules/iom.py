@@ -20,12 +20,14 @@ never falsely terminate a switch.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from itertools import chain, islice
+from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.comm.fsl import FslLink
 from repro.modules.base import EOS_WORD, ModulePorts
 from repro.modules.state import from_u32, to_u32
 from repro.sim.clock import ClockedComponent
+from repro.sim.fastpath import Replay, Stage
 
 #: FSL message (control bit set): an EOS word reached this IOM.
 MSG_EOS = 0x000000E0
@@ -65,6 +67,8 @@ class Iom(ClockedComponent):
         self.eos_armed = False
         self.source_exhausted = source is None
         self.cycles = 0
+        #: source words a steady-state replay fetched ahead of pushing
+        self._pulled: List[int] = []
 
     def bind(self, ports: ModulePorts) -> None:
         self.ports = ports
@@ -110,6 +114,75 @@ class Iom(ClockedComponent):
     def idle_advance(self, cycles: int) -> None:
         if self.ports is not None:
             self.cycles += cycles
+
+    # -- steady-state replay (repro.sim.fastpath) -----------------------
+    def steady_key(self) -> Hashable:
+        """Port FIFO keys, the push phase and whether a source is live.
+        An armed EOS detector adds the received-word count, so the key
+        then repeats only while nothing arrives."""
+        ports = self.ports
+        if ports is None:
+            return 0
+        return (
+            ports.fsl_in.fifo.steady_key() if ports.fsl_in else 0,
+            self._source is None or self.source_exhausted,
+            self.cycles % self.push_interval,
+            tuple([port.fifo.steady_key() for port in ports.producers]),
+            tuple([port.fifo.steady_key() for port in ports.consumers]),
+            self.eos_armed and (len(self.received), self.eos_count),
+        )
+
+    def steady_counters(self) -> Tuple[Tuple[object, Tuple[str, ...]], ...]:
+        return ((self, ("cycles", "words_emitted")),)
+
+    def steady_stages(self) -> List[Stage]:
+        ports = self.ports
+        if ports is None:
+            return []
+        stages = []
+        if ports.producers:
+            stages.append(
+                Stage(None, ports.producers[0].fifo, self._replay_source, self._pull)
+            )
+        if ports.consumers:
+            stages.append(Stage(ports.consumers[0].fifo, None, self._replay_sink))
+        return stages
+
+    def _pull(self, replay: Replay) -> int:
+        """Fetch the source words of ``replay.periods`` periods; returns
+        the whole periods the source could supply."""
+        per_period = replay.per_period(self, "words_emitted")
+        if not per_period:
+            self._pulled = []
+            return replay.periods
+        self._pulled = list(islice(self._source, replay.periods * per_period))
+        return len(self._pulled) // per_period
+
+    def _replay_source(self, replay: Replay) -> None:
+        """Push the pulled words, stamp them at the offsets the last
+        period showed, and put the surplus back in front of the source."""
+        per_period = replay.per_period(self, "words_emitted")
+        words = self._pulled
+        self._pulled = []
+        count = replay.periods * per_period
+        if len(words) > count:
+            self._source = chain(words[count:], self._source)
+            del words[count:]
+        if not words:
+            return
+        producer = self.ports.producers[0]
+        mask = producer.mask
+        replay.feed(producer.fifo, [to_u32(word) & mask for word in words])
+        if self.sim is not None:
+            _stamp(self.emit_times, per_period, replay)
+
+    def _replay_sink(self, replay: Replay) -> None:
+        words = replay.take(self.ports.consumers[0].fifo)
+        if not words:
+            return
+        self.received.extend([from_u32(word) for word in words])
+        if self.sim is not None:
+            _stamp(self.receive_times, len(words) // replay.periods, replay)
 
     def _poll_commands(self, link: FslLink) -> None:
         while link.can_read:
@@ -160,3 +233,13 @@ class Iom(ClockedComponent):
             f"Iom({self.name}, emitted={self.words_emitted}, "
             f"received={len(self.received)}, eos={self.eos_count})"
         )
+
+
+def _stamp(times: List[int], per_period: int, replay: Replay) -> None:
+    """Extend ``times`` by ``replay.periods`` copies of its last period's
+    ``per_period`` entries, each a period later than the one before."""
+    last = times[-per_period:]
+    span = replay.span
+    for k in range(1, replay.periods + 1):
+        shift = k * span
+        times.extend([t + shift for t in last])

@@ -17,6 +17,8 @@ from repro.modules.state import from_u32, saturate32, to_u32
 class PassThrough(HardwareModule):
     """Identity module (useful as a placeholder and in latency tests)."""
 
+    fixed_rate = True
+
     def process(self, sample: int) -> int:
         return from_u32(sample)
 
@@ -24,6 +26,7 @@ class PassThrough(HardwareModule):
 class Scaler(HardwareModule):
     """Multiply by a Q15 gain."""
 
+    fixed_rate = True
     state_register_names = ("gain",)
 
     def __init__(self, name: str, gain: int, monitor_interval: int = 0) -> None:
@@ -94,6 +97,7 @@ class Decimator(HardwareModule):
 class DeltaEncoder(HardwareModule):
     """Emit differences between consecutive samples."""
 
+    fixed_rate = True
     state_register_names = ("prev",)
 
     def __init__(self, name: str) -> None:
@@ -113,6 +117,7 @@ class DeltaEncoder(HardwareModule):
 class DeltaDecoder(HardwareModule):
     """Integrate deltas back into absolute samples."""
 
+    fixed_rate = True
     state_register_names = ("prev",)
 
     def __init__(self, name: str) -> None:
@@ -134,6 +139,8 @@ class Crc32(HardwareModule):
     continues the checksum seamlessly -- a direct demonstration of why the
     methodology transfers dynamic variables (Section III.B.3).
     """
+
+    fixed_rate = True
 
     POLY = 0xEDB88320
     state_register_names = ("crc",)
@@ -166,6 +173,7 @@ class Crc32(HardwareModule):
 class MinMaxTracker(HardwareModule):
     """Pass-through tracking the stream's extrema in state registers."""
 
+    fixed_rate = True
     state_register_names = ("seen_min", "seen_max")
 
     def __init__(self, name: str, monitor_interval: int = 0) -> None:

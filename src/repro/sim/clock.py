@@ -22,10 +22,13 @@ take effect on the next edge, as on the real primitives.
 from __future__ import annotations
 
 from typing import (
+    Any,
     Callable,
+    Hashable,
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -62,13 +65,32 @@ class ClockedComponent:
     phase lists, so a component that only commits costs nothing in the
     sample phase (and vice versa).
 
-    ``quiescent`` and ``idle_advance`` let the fast path skip idle clock
-    edges (see :mod:`repro.sim.fastpath`).  ``quiescent()`` may return True
-    only when, as long as every other component on every adopted clock is
-    quiescent too, each ``sample``/``commit`` would change nothing but the
-    counters ``idle_advance(n)`` then adds for ``n`` such edges.  A
-    subclass that overrides ``sample`` or ``commit`` without defining its
-    own ``quiescent`` falls back to the default False and is never skipped.
+    The fast path advances a periodic window whole periods at a time
+    (steady-state replay, see :mod:`repro.sim.fastpath`).  Two methods
+    serve its idle shortcut: ``quiescent()`` may return True only when,
+    as long as every other component on every adopted clock is quiescent
+    too, each ``sample``/``commit`` would change nothing but the counters
+    ``idle_advance(n)`` then adds for ``n`` such edges.  Three serve the
+    general case:
+
+    * ``steady_key()`` is the component's control state without payload:
+      FSM phase, busy countdowns, valid bits, the
+      :meth:`~repro.sim.fifo.SyncFifo.steady_key` of every FIFO it
+      touches.  Its contract: while every adopted component's key repeats
+      after P passes, each edge of the next P passes makes the same
+      decisions, moves words only as delay lines through the
+      ``steady_stages()`` and changes nothing else but the
+      ``steady_counters()``, each by the same amount every period; no
+      counter may steer a decision unless it is part of the key.  None
+      (the default) means never replay.
+    * ``steady_counters()`` lists ``(object, attribute names)`` pairs of
+      the integer counters an edge may advance.
+    * ``steady_stages()`` lists the :class:`~repro.sim.fastpath.Stage`
+      payload movers the component owns.
+
+    A subclass that overrides ``sample`` or ``commit`` without defining
+    its own ``quiescent`` or ``steady_key`` falls back to the default
+    (False, None) for it.
     """
 
     def sample(self) -> None:  # pragma: no cover - trivially overridden
@@ -84,13 +106,27 @@ class ClockedComponent:
     def idle_advance(self, cycles: int) -> None:
         """Apply the counter updates of ``cycles`` quiescent edges."""
 
+    def steady_key(self) -> Optional[Hashable]:
+        """Control state without payload, or None to refuse replay."""
+        return None
+
+    def steady_counters(self) -> Sequence[Tuple[Any, Tuple[str, ...]]]:
+        """``(object, counter attribute names)`` an edge may advance."""
+        return ()
+
+    def steady_stages(self) -> Sequence[Any]:
+        """The payload movers (:class:`~repro.sim.fastpath.Stage`)."""
+        return ()
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = cls.__dict__
-        if ("sample" in own or "commit" in own) and "quiescent" not in own:
-            # An inherited quiescent() describes the parent's edge, not
-            # this one: never skip the subclass.
-            cls.quiescent = ClockedComponent.quiescent  # type: ignore[method-assign]
+        if "sample" in own or "commit" in own:
+            # What the parent says about its edge does not describe this
+            # one: never skip or replay the subclass unless it says so.
+            for name in ("quiescent", "steady_key"):
+                if name not in own:
+                    setattr(cls, name, ClockedComponent.__dict__[name])
 
 
 class ClockSource:

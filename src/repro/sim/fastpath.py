@@ -43,35 +43,53 @@ Out-of-band frequency mutation (anything other than ``Bufgmux.select``)
 must bump ``CLOCK_EPOCH[0]`` or the fast path may keep dispatching on the
 stale period; all shipped clocking primitives do this already.
 
-Quiescence skip-ahead.  Many edges in a window move nothing: during a
-Section V reconfiguration the RSB clocks keep ticking, and executor
-quanta end in idle tails.  Every :data:`SKIP_CHECK_PASSES` whole passes
-the table dispatcher asks each component on each adopted clock whether it
-is ``quiescent()``.  If all are, it advances every whole pass but the last
-one before the window limit in one arithmetic step; that last pass and
-any partial tail are dispatched normally.  The step stays bit-identical:
+Steady-state replay.  Many windows are periodic: during a Section V
+reconfiguration the RSB clocks tick with nothing to do, and a steady
+stream moves one word per cycle through registered switch boxes, which
+makes the whole path a delay line.  Every :data:`SKIP_CHECK_PASSES`
+whole passes the table dispatcher checks first whether every adopted
+component is ``quiescent()``: if so, the idle window is skipped at once
+(all but the last whole pass, each component's ``idle_advance`` adding
+its idle counters).  Otherwise it may start an *observation* -- at the
+first such check, then after twice as many checks each time one fails.
+At each pass boundary an observation records the tuple of every adopted
+component's ``steady_key()`` (its control state without payload; see
+:class:`~repro.sim.clock.ClockedComponent` for the contract) plus a flat
+snapshot of the counters they declare.  When the tuple repeats after
+P <= :data:`MAX_PERIOD_PASSES` passes, the counter deltas over those P
+passes are one period's, and all but the last whole period left before
+the window limit are *replayed* in one step; that last period and any
+partial tail are dispatched normally.  Replaying K periods applies
+exactly what dispatching them would have:
 
-* ``quiescent()`` guarantees that, while every other adopted component
-  is quiescent too, the component's ``sample``/``commit`` change nothing
-  but the counters ``idle_advance(n)`` applies for ``n`` edges, and that
-  its answer does not depend on those counters, so one check covers every
-  skipped edge.  Components without the method, and subclasses that
-  override ``sample`` or ``commit`` without redefining it, are never
-  skipped (see :class:`~repro.sim.clock.ClockedComponent`).
-* The seq shift over one pass is exact.  An undisturbed pass dispatches
-  the same edges every time, and ties at a shared instant sort by the seq
-  each clock drew at its previous edge: for clocks of different periods
-  that is the order of those edges' times, and same-period, same-phase
-  clocks keep the order they started in.  So every pass after the first
-  draws its D = 2 x (edges per pass) sequence numbers in the same
-  pattern, and skipping k passes adds k*D to each pending edge's seq and
-  to the simulator's counter (plus k*D events processed).
-* Skipping starts only after one full pass.  The first pass of a window
-  may order ties by seqs drawn before the window (a clock ungated from a
-  commit callback, say); once it has run, every pending seq was drawn
-  inside the window.  The first check comes after
-  ``SKIP_CHECK_PASSES`` >= 2 passes, so the pass a skip extrapolates
-  from is always a periodic one.
+* payload moves through :class:`Stage` delay lines, each writer before
+  its reader: a FIFO or a channel's forward registers pass on the oldest
+  K x delta of (current contents + words entering) and keep the rest in
+  the same valid positions; a module runs ``process`` over its input in
+  order behind its in-flight word and ahead of its pending outputs; a
+  source pulls its words before anything else mutates and hands back
+  any surplus, so the source runs dry on the edge the heap kernel sees;
+* every declared counter, histogram bucket included, advances by
+  K x delta;
+* per pending edge a time shift of K x P hyperperiods and a seq shift of
+  K x P x D, where D = 2 x (edges per pass) is what one pass draws; the
+  same draws, two events per edge and the edge count on the simulator
+  and on this engine; and ``now`` at the last replayed instant.
+
+An idle window is the zero-word P = 1 case of the same step; the
+``quiescent()`` shortcut only reaches it sooner and cheaper (one check,
+no observed pass), and ``_advance`` does the kernel arithmetic of both.
+The seq shift is exact: an undisturbed pass dispatches the same
+edges every time, and ties at a shared instant sort by the seq each
+clock drew at its previous edge -- for clocks of different periods that
+is the order of those edges' times, and same-period, same-phase clocks
+keep the order they started in -- so every pass after the first draws
+its sequence numbers in the same pattern.  The first observation comes
+after ``SKIP_CHECK_PASSES`` >= 2 passes, once every pending seq was drawn
+inside the window, so the period a replay extrapolates from is always a
+periodic one.  Components without ``steady_key``/``quiescent``
+(duck-typed ones), and subclasses that override ``sample`` or ``commit``
+without redefining them, are never replayed or skipped.
 """
 
 from __future__ import annotations
@@ -80,17 +98,29 @@ from heapq import heapify, heappush
 from itertools import count
 from math import gcd
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.sim.kernel import (
     CLOCK_EPOCH,
     PRIORITY_COMMIT,
     PRIORITY_SAMPLE,
     Event,
+    SimulationError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
     from repro.sim.clock import Clock
+    from repro.sim.fifo import SyncFifo
     from repro.sim.kernel import Simulator
 
 #: Hyperperiod tables with more merged edges than this fall back to the
@@ -98,12 +128,170 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
 #: pathological frequency ratios from compiling megabyte tables.
 MAX_TABLE_EDGES = 4096
 
-#: Whole hyperperiods dispatched between two quiescence checks.  The
-#: first check therefore comes after the second full pass of a window,
-#: once the pass order is periodic (see the module docstring).
+#: Whole hyperperiods dispatched between two quiescence checks, each of
+#: which may start a replay observation.  The first check therefore
+#: comes after the second full pass of a window, once the pass order is
+#: periodic (see the module docstring).
 SKIP_CHECK_PASSES = 16
 
+#: Longest period, in passes, an observation looks for.
+MAX_PERIOD_PASSES = 4
+
+#: Periods a replay applies per step; bounds its payload lists.
+REPLAY_CHUNK = 2048
+
 _BY_SEQ = attrgetter("seq")
+
+
+class Stage(NamedTuple):
+    """One payload mover of steady-state replay.
+
+    ``replay(r)`` moves the words of ``r.periods`` periods from the FIFO
+    ``reads`` (None for a source) through the owner's own delay lines into
+    ``writes`` (None for a sink), using :meth:`Replay.take` and
+    :meth:`Replay.feed`.  A source also has ``pull(r)``: it fetches its
+    words for ``r.periods`` periods before anything mutates and returns
+    how many whole periods it could supply; the engine lowers
+    ``r.periods`` to the least of them, and ``replay`` hands any surplus
+    back to the source.
+    """
+
+    reads: Optional["SyncFifo"]
+    writes: Optional["SyncFifo"]
+    replay: Callable[["Replay"], None]
+    pull: Optional[Callable[["Replay"], int]] = None
+
+
+class Replay:
+    """What a :class:`Stage` sees of one replay step."""
+
+    __slots__ = ("periods", "span", "_delta", "_moves", "_fed")
+
+    def __init__(
+        self,
+        periods: int,
+        span: int,
+        delta: Dict[Tuple[int, str], int],
+        moves: Dict[Any, int],
+    ) -> None:
+        #: whole periods this step replays
+        self.periods = periods
+        #: length of one period in ps
+        self.span = span
+        self._delta = delta
+        self._moves = moves
+        self._fed: Dict[Any, List[Any]] = {}
+
+    def per_period(self, obj: Any, name: str) -> int:
+        """One period's delta of the declared counter ``obj.name``."""
+        return self._delta.get((id(obj), name), 0)
+
+    def feed(self, fifo: "SyncFifo", words: List[Any]) -> None:
+        """The words a writer pushes into ``fifo``, oldest first."""
+        self._fed[fifo] = words
+
+    def take(self, fifo: "SyncFifo") -> List[Any]:
+        """The words leaving ``fifo`` while the fed ones enter it."""
+        words = self._fed.pop(fifo, [])
+        if len(words) != self.periods * self._moves.get(fifo, 0):
+            raise SimulationError(
+                f"steady replay fed {len(words)} words into {fifo.name}, "
+                f"expected {self.periods * self._moves.get(fifo, 0)}"
+            )
+        return fifo.replay(words)
+
+
+class _Layout:
+    """The replay view of the adopted components, built as an
+    observation starts."""
+
+    __slots__ = ("keys", "fields", "hists", "fifo_at", "stages", "_order")
+
+    def __init__(self) -> None:
+        #: bound ``steady_key`` of every adopted component
+        self.keys: List[Callable[[], Any]] = []
+        #: ``(object, attribute)`` of every counter, flat
+        self.fields: List[Tuple[Any, str]] = []
+        #: bound occupancy histograms of the stage FIFOs (their ``count``
+        #: and ``sum`` are in :attr:`fields`)
+        self.hists: List[Any] = []
+        #: each stage FIFO and the index of its ``pushes`` (``pops``
+        #: follows)
+        self.fifo_at: List[Tuple[Any, int]] = []
+        #: every component's stages
+        self.stages: List[Stage] = []
+        self._order: Any = None
+
+    def order(self, moves: Dict[Any, int]) -> Optional[List[Stage]]:
+        """:attr:`stages` with each FIFO's writer before its reader, or
+        None when there is no such order (a cycle, two writers or readers
+        on one FIFO) or a FIFO in ``moves`` lacks a writer or a reader."""
+        if self._order is None:
+            self._order = _writers_first(self.stages)
+        if not self._order:
+            return None
+        order, linked = self._order
+        if any(fifo not in linked for fifo in moves):
+            return None
+        return order
+
+    @classmethod
+    def build(cls, states: List["_ClockState"]) -> Optional["_Layout"]:
+        layout = cls()
+        stages: List[Stage] = []
+        for st in states:
+            for component in st.clock.components:
+                key = getattr(component, "steady_key", None)
+                if key is None:
+                    return None
+                layout.keys.append(key)
+                for obj, names in component.steady_counters():
+                    layout.fields.extend((obj, name) for name in names)
+                stages.extend(component.steady_stages())
+        layout.stages = stages
+        fifos: Dict[Any, None] = {}
+        for stage in stages:
+            for fifo in (stage.reads, stage.writes):
+                if fifo is not None:
+                    fifos[fifo] = None
+        fields = layout.fields
+        for fifo in fifos:
+            layout.fifo_at.append((fifo, len(fields)))
+            fields += [(fifo, "pushes"), (fifo, "pops")]
+            hist = fifo._occ_hist
+            if hist is not None:
+                layout.hists.append(hist)
+                fields += [(hist, "count"), (hist, "sum")]
+        return layout
+
+
+def _writers_first(stages: List[Stage]) -> Any:
+    """``(order, linked)``: ``stages`` with each FIFO's writer before its
+    reader, and the FIFOs that have both; False when there is no order."""
+    writer: Dict[Any, Stage] = {}
+    reader: Dict[Any, Stage] = {}
+    for stage in stages:
+        for fifo, ends in ((stage.writes, writer), (stage.reads, reader)):
+            if fifo is not None:
+                if fifo in ends:
+                    return False
+                ends[fifo] = stage
+    order: List[Stage] = []
+    placed: set = set()
+    pending = list(stages)
+    while pending:
+        waiting = []
+        for stage in pending:
+            upstream = writer.get(stage.reads)
+            if upstream is None or id(upstream) in placed:
+                order.append(stage)
+                placed.add(id(stage))
+            else:
+                waiting.append(stage)
+        if len(waiting) == len(pending):
+            return False  # a cycle
+        pending = waiting
+    return order, {fifo for fifo in writer if fifo in reader}
 
 
 class _ClockState:
@@ -142,6 +330,7 @@ class FastPathEngine:
         "_edges",
         "_bails",
         "_skipped",
+        "_layout",
         "_memo_key",
         "_memo_slots",
         "_memo_hyper",
@@ -156,6 +345,9 @@ class FastPathEngine:
         self._edges = 0
         self._bails = 0
         self._skipped = 0
+        #: the running observation's :class:`_Layout`, False when some
+        #: adopted component cannot be replayed
+        self._layout: Any = False
         self._memo_key: Optional[Tuple[Tuple[int, int], ...]] = None
         self._memo_slots: Optional[List[Tuple[int, List[int]]]] = None
         self._memo_hyper = 0
@@ -165,7 +357,8 @@ class FastPathEngine:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Counters: windows adopted, edges dispatched, early bails, and
-        how many of those edges skip-ahead advanced arithmetically."""
+        how many of those edges steady-state replay advanced without
+        dispatching them (idle ones and ones that moved words)."""
         return {
             "windows": self._windows,
             "edges": self._edges,
@@ -324,19 +517,39 @@ class FastPathEngine:
 
         Every :data:`SKIP_CHECK_PASSES` whole passes, if all adopted
         components are quiescent, all but the last whole pass left before
-        ``limit`` are advanced arithmetically by :meth:`_skip_ahead`.
+        ``limit`` are skipped by :meth:`_skip_idle`.  Otherwise an
+        observation may start (:meth:`_observe`): at the first such check,
+        then after twice as many checks each time one fails.  When it
+        finds a period, all but the last whole period left are replayed.
         """
         states = self._states
+        last_offset = slots[-1][0]
         cycle = t0
         passes = 0
+        checks = 0
+        backoff = 1
+        watch: Optional[List[Any]] = None
         plan = None
         while True:
-            if passes == SKIP_CHECK_PASSES:
+            if watch is None and passes == SKIP_CHECK_PASSES:
                 passes = 0
-                skip = (limit - cycle + 1) // hyper - 1
-                if skip > 0 and self._quiescent():
-                    self._skip_ahead(skip, cycle, hyper, slots[-1][0])
-                    cycle += skip * hyper
+                whole = (limit - cycle + 1) // hyper
+                if whole > 1 and self._quiescent():
+                    self._skip_idle(whole - 1, cycle, hyper, last_offset)
+                    cycle += (whole - 1) * hyper
+                else:
+                    checks += 1
+                    if checks >= backoff and whole > 2:
+                        checks = 0
+                        watch = []
+            if watch is not None:
+                advanced = self._observe(watch, cycle, hyper, limit, last_offset)
+                if advanced:
+                    watch = None
+                    if advanced > 0:
+                        cycle += advanced * hyper
+                    else:
+                        backoff *= 2
             passes += 1
             if plan is None:
                 plan = self._plan(slots, cycle)
@@ -403,6 +616,9 @@ class FastPathEngine:
             for offset, indices in slots
         ]
 
+    # ------------------------------------------------------------------
+    # steady-state replay
+    # ------------------------------------------------------------------
     def _quiescent(self) -> bool:
         """True when every component on every adopted clock is idle."""
         for st in self._states:
@@ -412,28 +628,137 @@ class FastPathEngine:
                     return False
         return True
 
-    def _skip_ahead(
+    def _skip_idle(
         self, passes: int, cycle: int, hyper: int, last_offset: int
     ) -> None:
-        """Advance ``passes`` quiescent hyperperiods from ``cycle`` at once.
+        """The zero-word shortcut: ``passes`` quiescent hyperperiods from
+        ``cycle``, with each component's idle counters advanced by
+        ``idle_advance``."""
+        span = passes * hyper
+        for st in self._states:
+            for component in st.clock.components:
+                component.idle_advance(span // st.period)
+        self._advance(passes, cycle, hyper, last_offset)
 
-        Applies exactly what dispatching them would have: per clock its
-        cycles and its components' idle counters; per pending edge a time
-        shift of ``passes * hyper`` and a seq shift of ``passes * D``,
-        where D = 2 x edges per pass is what one pass draws; the same
-        draws, two events per edge and the edge count on the simulator
-        and on this engine; and ``now`` at the last skipped instant.
+    def _observe(
+        self,
+        watch: List[Any],
+        cycle: int,
+        hyper: int,
+        limit: int,
+        last_offset: int,
+    ) -> int:
+        """Record the pass boundary at ``cycle``; replay if periodic.
+
+        Returns the passes replayed (> 0), 0 to keep watching, or -1 when
+        the observation failed.
+        """
+        if not watch:
+            self._layout = _Layout.build(self._states) or False
+        layout = self._layout
+        if not layout:
+            return -1
+        keys = tuple([key() for key in layout.keys])
+        if None in keys:
+            return -1
+        values = [getattr(obj, name) for obj, name in layout.fields]
+        buckets = [tuple(hist.counts) for hist in layout.hists]
+        watch.append((keys, values, buckets))
+        last = len(watch) - 1
+        for first in range(last - 1, max(-1, last - 1 - MAX_PERIOD_PASSES), -1):
+            if watch[first][0] == keys:
+                return self._replay(
+                    layout, watch[first], watch[last], last - first,
+                    cycle, hyper, limit, last_offset,
+                )
+        if last >= MAX_PERIOD_PASSES or (limit - cycle + 1) // hyper < 2:
+            return -1
+        return 0
+
+    def _replay(
+        self,
+        layout: _Layout,
+        then: Tuple[Any, List[int], List[Tuple[int, ...]]],
+        now: Tuple[Any, List[int], List[Tuple[int, ...]]],
+        period: int,
+        cycle: int,
+        hyper: int,
+        limit: int,
+        last_offset: int,
+    ) -> int:
+        """Replay all but the last whole ``period``-pass period left
+        before ``limit``, given the boundary records one period apart.
+        Returns the passes replayed, or -1 when there is nothing to do or
+        the words move where no stage can carry them."""
+        span = period * hyper
+        total = (limit - cycle + 1) // span - 1
+        if total < 1:
+            return -1
+        fields = layout.fields
+        delta = [b - a for a, b in zip(then[1], now[1])]
+        moves: Dict[Any, int] = {}
+        for fifo, at in layout.fifo_at:
+            if delta[at] or delta[at + 1]:
+                if delta[at] != delta[at + 1]:
+                    return -1
+                moves[fifo] = delta[at]
+        stages: List[Stage] = []
+        if moves:
+            order = layout.order(moves)
+            if order is None:
+                return -1
+            stages = order
+        steps = [(obj, name, d) for (obj, name), d in zip(fields, delta) if d]
+        bucket_steps = [
+            (hist.counts, [b - a for a, b in zip(old, new)])
+            for hist, old, new in zip(layout.hists, then[2], now[2])
+            if old != new
+        ]
+        lookup = {(id(obj), name): d for obj, name, d in steps} if moves else {}
+        done = 0
+        while done < total:
+            periods = total - done
+            if moves:  # in steps, so the payload lists stay bounded
+                want = min(REPLAY_CHUNK, periods)
+                step = Replay(want, span, lookup, moves)
+                for stage in stages:
+                    if stage.pull is not None:
+                        step.periods = min(step.periods, stage.pull(step))
+                for stage in stages:
+                    stage.replay(step)
+                periods = step.periods
+                if periods < want:
+                    total = done + periods  # a source ran dry
+            for obj, name, d in steps:
+                setattr(obj, name, getattr(obj, name) + periods * d)
+            for counts, diffs in bucket_steps:
+                for index, d in enumerate(diffs):
+                    if d:
+                        counts[index] += periods * d
+            done += periods
+        if not done:
+            return -1
+        self._advance(done * period, cycle, hyper, last_offset)
+        return done * period
+
+    def _advance(
+        self, passes: int, cycle: int, hyper: int, last_offset: int
+    ) -> None:
+        """Move the schedule ``passes`` hyperperiods on from ``cycle``.
+
+        Applies what dispatching them would have to the kernel: per clock
+        its cycles; per pending edge a time shift of ``passes * hyper``
+        and a seq shift of ``passes * D``, where D = 2 x edges per pass
+        is what one pass draws; the same draws, two events per edge and
+        the edge count on the simulator and on this engine; and ``now``
+        at the last advanced instant.
         """
         sim = self.sim
         span = passes * hyper
         edges = sum(span // st.period for st in self._states)
         draws = 2 * edges
         for st in self._states:
-            clock = st.clock
-            ticks = span // st.period
-            clock.cycles += ticks
-            for component in clock.components:
-                component.idle_advance(ticks)
+            st.clock.cycles += span // st.period
             st.next_time += span
             st.seq += draws
         sim._seq = count(next(sim._seq) + draws)

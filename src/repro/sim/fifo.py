@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, Hashable, List, Tuple
 
 
 class FifoError(Exception):
@@ -194,6 +194,32 @@ class SyncFifo:
             return False
         self._data[index] ^= mask
         return True
+
+    # ------------------------------------------------------------------
+    # steady-state replay (repro.sim.fastpath)
+    # ------------------------------------------------------------------
+    def steady_key(self) -> Hashable:
+        """Occupancy, for a component's ``steady_key``.  With the ECC
+        shadow armed the push count joins it, so the key repeats only
+        while no word moves; past drops join it so a new one breaks it."""
+        occupancy = len(self._data)
+        if self._ecc is not None:
+            return (occupancy, self.pushes, self.drops)
+        return (occupancy, self.drops) if self.drops else occupancy
+
+    def replay(self, entering: List[Any]) -> List[Any]:
+        """Delay-line shift: ``entering`` is pushed in order while as
+        many of the oldest words leave; returns the leavers.  Counters
+        are the replay engine's to advance."""
+        count = len(entering)
+        if not count:
+            return []
+        data = self._data
+        words = list(data)
+        words += entering
+        data.clear()
+        data.extend(words[count:])
+        return words[:count]
 
     def drain(self) -> List[Any]:
         """Pop everything, returning the words in order."""

@@ -264,8 +264,10 @@ class Simulator:
 
     @property
     def fastpath_stats(self) -> Dict[str, int]:
-        """Fast-path counters (windows entered, edges dispatched, bails,
-        edges skipped ahead while every component was quiescent)."""
+        """Fast-path counters: windows entered, edges (dispatched or
+        not), bails, and ``skipped``, the edges steady-state replay
+        advanced without dispatching them -- idle ones and ones that
+        moved words (see :mod:`repro.sim.fastpath`)."""
         if self._fastpath is None:
             return {"windows": 0, "edges": 0, "bails": 0, "skipped": 0}
         return self._fastpath.stats()

@@ -366,6 +366,34 @@ def test_subclass_defining_quiescent_keeps_it():
     assert Idle("idle").quiescent() is True
 
 
+def test_default_component_is_never_replayed():
+    assert ClockedComponent().steady_key() is None
+    assert Recorder([], None, "r").steady_key() is None
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        bound(StreamToFsl("s2f")),
+        bound(FslToStream("f2s")),
+        bound(OwnCommit("own")),
+        SharedBus(),
+    ],
+    ids=["StreamToFsl", "FslToStream", "HardwareModule-subclass", "SharedBus"],
+)
+def test_commit_override_without_steady_key_is_never_replayed(component):
+    assert component.steady_key() is None
+
+
+def test_subclass_defining_steady_key_keeps_it():
+    class Keyed(OwnCommit):
+        def steady_key(self):
+            return 0
+
+    assert Keyed("keyed").steady_key() == 0
+    assert Keyed("keyed").quiescent() is False
+
+
 def run_idle_module(module_factory, fastpath):
     sim = Simulator(use_fastpath=fastpath)
     clk = Clock(sim, freq_hz=100e6, name="lcd")
