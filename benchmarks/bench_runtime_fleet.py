@@ -1,9 +1,9 @@
 """Experiment RT-FLEET: parallel fleet serving scales with workers.
 
-Serves the same batch of independent stream jobs through the
-``repro.runtime`` FleetExecutor with one worker process and with four,
-and measures the wall-clock speedup.  Because each job runs
-single-tenant on its own simulated VAPRES instance, sharding across
+Serves the same batch of independent stream jobs through
+``repro.pool.run_batch`` with one worker and with four worker
+processes, and measures the wall-clock speedup.  Because each job runs
+single-tenant on its own simulated VAPRES instance, spreading jobs over
 processes is embarrassingly parallel: with 4 workers on >= 4 cores the
 8-job batch should complete at least 2x faster than serially, with
 bit-identical per-job telemetry.
@@ -14,18 +14,9 @@ entry point measures the same jobs.
 
 ``REPRO_FLEET_BENCH_WORDS`` scales the per-job stream length (CI smoke
 uses a small value; the default exercises a meatier batch).
-``REPRO_FLEET_BENCH_POOL=1`` serves the batch through the
-``repro.pool`` DevicePool (overcommitted vPRR scheduling + the
-asyncio<->process bridge) instead of the plain FleetExecutor; the
-results-identity assertions are unchanged, so the flag doubles as a
-determinism check of the pool path against the classic path.
 """
 
-import asyncio
 import os
-from collections import Counter
-from time import perf_counter
-from types import SimpleNamespace
 
 from repro.bench.workloads import (
     FLEET_JOBS,
@@ -33,58 +24,20 @@ from repro.bench.workloads import (
     fleet_jobs,
     fleet_params,
 )
-from repro.runtime import FleetExecutor
+from repro.pool import run_batch
 
 JOBS = FLEET_JOBS
 WORDS = int(os.environ.get("REPRO_FLEET_BENCH_WORDS", "4000"))
-POOL_PATH = os.environ.get("REPRO_FLEET_BENCH_POOL", "0") != "0"
 PARAMS = fleet_params()
 CONFIG = fleet_config()
 
 
-def make_jobs():
-    return fleet_jobs(WORDS)
-
-
-def serve_fleet(workers):
-    fleet = FleetExecutor(workers=workers, params=PARAMS, config=CONFIG)
-    report = fleet.run(make_jobs())
+def serve(workers):
+    report = run_batch(
+        fleet_jobs(WORDS), workers, params=PARAMS, config=CONFIG
+    )
     assert report.states == {"DONE": JOBS}, report.states
     return report
-
-
-def serve_pool(workers):
-    """Same batch via the device pool; reshapes to the fleet report."""
-    from repro.pool import DevicePool
-
-    async def scenario():
-        pool = DevicePool(
-            devices=workers,
-            params=PARAMS,
-            config=CONFIG,
-            overcommit=2.0,
-            use_processes=True,
-        )
-        await pool.start()
-        jobs = [pool.submit(spec) for spec in make_jobs()]
-        await pool.drain()
-        await pool.stop(drain=False)
-        return jobs
-
-    start = perf_counter()
-    jobs = asyncio.run(scenario())
-    wall = perf_counter() - start
-    states = Counter(job.report.state for job in jobs)
-    assert dict(states) == {"DONE": JOBS}, dict(states)
-    return SimpleNamespace(
-        jobs=[job.report for job in jobs],
-        states=dict(states),
-        wall_seconds=wall,
-    )
-
-
-def serve(workers):
-    return serve_pool(workers) if POOL_PATH else serve_fleet(workers)
 
 
 def test_fleet_scaling(benchmark):
@@ -92,18 +45,15 @@ def test_fleet_scaling(benchmark):
     single = serve(1)
     speedup = single.wall_seconds / quad.wall_seconds
 
-    # sharding must not change any job's results
-    for a, b in zip(single.jobs, quad.jobs):
-        da, db = a.to_dict(), b.to_dict()
-        da.pop("shard"), db.pop("shard")
-        assert da == db
+    # spreading jobs over workers must not change any job's results
+    assert [a.to_dict() for a in single.jobs] == [
+        b.to_dict() for b in quad.jobs
+    ]
 
-    path = "pool" if POOL_PATH else "fleet"
     print()
-    print(f"RT-FLEET[{path}]: {JOBS} jobs x {WORDS} words")
+    print(f"RT-FLEET: {JOBS} jobs x {WORDS} words")
     print(f"  workers=1: {single.wall_seconds:.2f}s")
     print(f"  workers=4: {quad.wall_seconds:.2f}s  (speedup {speedup:.2f}x)")
-    benchmark.extra_info["RT-FLEET:path"] = path
     benchmark.extra_info["RT-FLEET:jobs"] = JOBS
     benchmark.extra_info["RT-FLEET:words"] = WORDS
     benchmark.extra_info["RT-FLEET:wall_w1_s"] = single.wall_seconds
@@ -120,7 +70,7 @@ def test_fleet_scaling(benchmark):
         usable_cores = os.cpu_count() or 1
     benchmark.extra_info["RT-FLEET:usable_cores"] = usable_cores
     if usable_cores >= 2:
-        assert speedup > 1.0, "fleet sharding made things slower"
+        assert speedup > 1.0, "four workers made things slower"
     if usable_cores >= 4:
         assert speedup >= 2.0, (
             f"expected >= 2x speedup on {usable_cores} cores, "

@@ -21,8 +21,9 @@ Commands
     error-severity diagnostic is found.
 ``serve``
     Load a JSON jobfile and serve its stream jobs: ``fleet`` mode
-    shards independent jobs across worker processes (one simulated
-    VAPRES instance per job), ``colocate`` mode multi-tenants them on a
+    serves independent jobs through a ``repro.pool`` device pool with
+    one worker process per ``--workers`` (one simulated VAPRES
+    instance per job), ``colocate`` mode multi-tenants them on a
     single instance with admission control and priority preemption.
     Prints per-job and fleet telemetry; ``--json`` emits the report as
     JSON, ``--output`` saves it.  ``--trace-out`` writes the run's span
@@ -30,7 +31,8 @@ Commands
     ``chrome://tracing``), ``--metrics-out`` dumps the merged metrics
     registry in Prometheus text format.  Exit code is non-zero when any
     job ends FAILED or terminally EVICTED (no retry budget left);
-    ``--fail-fast`` aborts the whole run on the first such job.
+    ``--fail-fast`` aborts the run on the first such job (in fleet
+    mode, the rest of that worker's jobs).
 
     With ``--listen HOST:PORT`` the jobfile supplies only the system
     parameters and executor config, and ``serve`` becomes a long-lived
@@ -340,7 +342,6 @@ def _serve_listen(args: argparse.Namespace, jobfile, config) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime import (
         ExecutorConfig,
-        FleetExecutor,
         JobError,
         JobExecutor,
         load_jobfile,
@@ -358,6 +359,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.compaction is not None:
         config = replace(config, compaction=args.compaction)
     if args.listen:
+        if args.fail_fast:
+            # under fail-fast a worker stops serving after one failed
+            # job, which would disable a device for the server's lifetime
+            print("serve: --fail-fast applies to batch runs only, "
+                  "not to --listen", file=sys.stderr)
+            return 2
         return _serve_listen(args, jobfile, config)
     mode = args.mode or jobfile.mode
     workers = args.workers if args.workers is not None else jobfile.workers
@@ -366,10 +373,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             executor = JobExecutor(params=jobfile.params, config=config)
             report = executor.run(jobfile.jobs)
         else:
-            fleet = FleetExecutor(
-                workers=workers, params=jobfile.params, config=config
+            from repro.pool import run_batch
+
+            report = run_batch(
+                jobfile.jobs, workers, params=jobfile.params, config=config
             )
-            report = fleet.run(jobfile.jobs)
     except JobError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2

@@ -264,7 +264,7 @@ def case_fig5_switch(quick: bool) -> CaseResult:
 
 
 # ----------------------------------------------------------------------
-# runtime: single-shard stream-job executor, steady-state serving
+# runtime: one stream-job executor, steady-state serving
 # ----------------------------------------------------------------------
 def _fleet_steady(quick: bool, fastpath: bool) -> CaseResult:
     from repro.core.params import SystemParameters

@@ -57,7 +57,7 @@ def derive_seed(seed: int, stream: str) -> int:
     """Derive a per-stream child seed, stable across processes.
 
     Uses CRC32 instead of ``hash()`` -- string hashing is salted by
-    ``PYTHONHASHSEED`` and would make fleet shards disagree.
+    ``PYTHONHASHSEED`` and would make fleet workers disagree.
     """
     return zlib.crc32(f"{seed}:{stream}".encode("utf-8")) & 0xFFFFFFFF
 
@@ -177,8 +177,8 @@ class FaultEvent:
 class FaultLedger:
     """Every injected fault and its detect/repair lifecycle.
 
-    Transitions feed the obs metrics registry so fleet shards can be
-    merged: ``repro_faults_injected_total`` / ``_detected_total`` /
+    Transitions feed the obs metrics registry so fleet workers' runs
+    can be merged: ``repro_faults_injected_total`` / ``_detected_total`` /
     ``_repaired_total`` (labelled by class) and the
     ``repro_fault_detect_latency_us`` / ``repro_fault_repair_latency_us``
     histograms.  Latencies are observed as *whole* microseconds so that

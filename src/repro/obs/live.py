@@ -85,8 +85,9 @@ def tag_events(
 def qualify_tracks(
     events: Iterable[SpanEvent], job_name: str
 ) -> List[SpanEvent]:
-    """Prefix shared-infrastructure tracks with the owning job, exactly
-    as the fleet shard merge does (``icap`` -> ``job/<name>/icap``)."""
+    """Prefix shared-infrastructure tracks with the owning job
+    (``icap`` -> ``job/<name>/icap``), so that merged device shards of
+    jobs run on separate simulators do not collide."""
     out = []
     for event in events:
         if event.track.startswith("job/"):

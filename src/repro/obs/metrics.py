@@ -5,9 +5,9 @@ Every :class:`~repro.sim.kernel.Simulator` owns one
 scheduler, the module switcher, the serving executor) create their
 instruments through it.  Instruments are identified by ``(name,
 labels)`` just as in Prometheus, and the registry is plain picklable
-data so :class:`~repro.runtime.executor.FleetExecutor` workers can ship
-their registries back to the parent and :meth:`MetricsRegistry.merge`
-them deterministically:
+data so :mod:`repro.pool` device workers can ship their registries
+back to the pool and :meth:`MetricsRegistry.merge` them
+deterministically:
 
 * counters and histograms **add**,
 * gauges take the **maximum** (order-independent, which keeps fleet

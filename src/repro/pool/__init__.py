@@ -1,7 +1,7 @@
 """repro.pool: a virtualized pool of simulated VAPRES devices.
 
 Serves stream jobs across N devices the way a cluster serves
-containers across hosts, in two layers:
+containers across hosts, in three layers:
 
 * **virtualization** (:mod:`~repro.pool.devices`,
   :mod:`~repro.pool.scheduler`) -- jobs request *virtual PRRs* that a
@@ -14,7 +14,11 @@ containers across hosts, in two layers:
   :mod:`~repro.pool.client`) -- a stdlib-asyncio NDJSON-over-HTTP
   endpoint (``python -m repro serve --listen``) for streaming
   multi-tenant submissions and live lifecycle telemetry, bridged to
-  per-device worker processes (:mod:`~repro.pool.bridge`).
+  per-device worker processes (:mod:`~repro.pool.bridge`);
+* **batch** (:mod:`~repro.pool.batch`) -- :func:`run_batch` serves a
+  list of independent jobs to completion and returns one
+  :class:`~repro.runtime.telemetry.FleetReport` (``serve`` in fleet
+  mode, fault campaigns, the fleet benchmark).
 
 The pool carries the live observability plane from
 :mod:`repro.obs.live`: per-job trace ids stitched across the bridge
@@ -26,6 +30,7 @@ name-derived seed, so a pool run is bit-identical to a single-device
 run of the same jobs.
 """
 
+from repro.pool.batch import run_batch
 from repro.pool.bridge import WorkerBridge
 from repro.pool.client import (
     ClientError,
@@ -65,6 +70,7 @@ __all__ = [
     "get_json",
     "post_json",
     "request_shutdown",
+    "run_batch",
     "run_jobs",
     "run_jobs_sync",
     "stream_events",

@@ -7,23 +7,30 @@ owns one **device worker** -- a ``multiprocessing`` process (or a plain
 thread with ``use_processes=False``, for tests and single-core hosts)
 that pulls dispatched jobs off an inbox queue via
 :class:`~repro.runtime.jobs.QueueJobSource` and runs each single-tenant
-on a fresh :class:`~repro.runtime.executor.JobExecutor`, exactly like a
-``FleetExecutor`` shard.  Determinism carries over unchanged: a job's
+on a fresh :class:`~repro.runtime.executor.JobExecutor`.  A job's
 results depend only on its own spec and name-derived seed, never on
-which worker ran it.
+which worker ran it.  Under ``config.fail_fast`` a worker whose job
+ends FAILED or EVICTED runs nothing more: every later job it receives
+comes back FAILED ("aborted by fail-fast ...") without running.
 
-All workers share one **outbox**; a single daemon pump thread blocks in
-``outbox.get()`` and posts each event into the loop with
+Worker processes share one **outbox**; a single daemon pump thread
+blocks in ``outbox.get()`` and posts each event into the loop with
 ``call_soon_threadsafe``, so the loop never blocks on simulation and
 never needs locks (and an uncleanly torn-down pool can never pin the
 interpreter on a non-daemon thread stuck in a queue read).  Worker
-events are plain picklable tuples::
+threads need no pump: their outbox posts each event into the loop
+directly.  Worker events are plain picklable tuples::
 
     ("started",      worker_id, job_id, wall_seconds)
     ("first_sample", worker_id, job_id, wall_seconds)
     ("snapshot",     worker_id, job_id, DeviceSnapshot)
-    ("finished",     worker_id, job_id, JobReport)
+    ("finished",     worker_id, job_id, FleetReport)
     ("error",        worker_id, job_id, "message")
+
+A ``"finished"`` payload is the job's one-job
+:class:`~repro.runtime.telemetry.FleetReport` (its ``JobReport`` plus
+run totals) without span events and metrics, which ship in the final
+snapshot.
 
 Dispatches carry a :class:`~repro.obs.live.TraceContext` alongside the
 spec, so device-side spans join the submitting pool's trace.  With
@@ -42,9 +49,11 @@ import multiprocessing
 import queue
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.runtime.jobs import QueueJobSource
+from repro.runtime.telemetry import FleetReport, JobReport
 
 #: pump-side sentinel: the bridge is closed, stop the event task
 _CLOSED = ("__bridge_closed__", -1, -1, None)
@@ -64,14 +73,17 @@ def _device_worker(
     )
     from repro.runtime.executor import JobExecutor
 
-    source = QueueJobSource(inbox)
-    for item in source:
-        job_id, spec, ctx = item
+    aborted_by: Optional[str] = None
+    for job_id, spec, ctx in QueueJobSource(inbox):
+        if aborted_by is not None:
+            outbox.put((
+                "finished", worker_id, job_id,
+                FleetReport(jobs=[JobReport.not_run(spec, aborted_by)]),
+            ))
+            continue
         outbox.put(("started", worker_id, job_id, time.monotonic()))
         try:
-            executor = JobExecutor(
-                params=params, config=config, shard=worker_id
-            )
+            executor = JobExecutor(params=params, config=config)
             executor.trace_context = ctx
             executor.on_first_sample = (
                 lambda job, _id=job_id: outbox.put(
@@ -98,8 +110,6 @@ def _device_worker(
                 executor.snapshot_every_quanta = snapshot_every
                 executor.on_snapshot = _snapshot
             run = executor.run([spec])
-            report = run.jobs[0]
-            report.shard = worker_id
             if snapshot_every > 0:
                 outbox.put((
                     "snapshot", worker_id, job_id,
@@ -113,12 +123,32 @@ def _device_worker(
                         events=qualify_tracks(run.span_events, spec.name),
                     ),
                 ))
-            outbox.put(("finished", worker_id, job_id, report))
+            outbox.put((
+                "finished", worker_id, job_id,
+                replace(run, span_events=[], metrics=None),
+            ))
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             outbox.put(
                 ("error", worker_id, job_id,
                  f"{type(exc).__name__}: {exc}")
             )
+            continue
+        state = run.jobs[0].state
+        if config.fail_fast and state in ("FAILED", "EVICTED"):
+            aborted_by = (
+                f"aborted by fail-fast after job {spec.name!r} "
+                f"ended {state}"
+            )
+
+
+class _LoopOutbox:
+    """The thread workers' outbox: ``put`` posts straight into the loop."""
+
+    def __init__(self, bridge: "WorkerBridge") -> None:
+        self._bridge = bridge
+
+    def put(self, event: WorkerEvent) -> None:
+        self._bridge._post(event)
 
 
 class WorkerBridge:
@@ -159,7 +189,7 @@ class WorkerBridge:
                 for i in range(workers)
             ]
         else:
-            self.outbox = queue.Queue()
+            self.outbox = _LoopOutbox(self)
             self._inboxes = [queue.Queue() for _ in range(workers)]
             self._workers = [
                 threading.Thread(
@@ -177,10 +207,11 @@ class WorkerBridge:
         self._loop = asyncio.get_running_loop()
         for worker in self._workers:
             worker.start()
-        self._pump_thread = threading.Thread(
-            target=self._pump_main, daemon=True, name="repro-pool-pump"
-        )
-        self._pump_thread.start()
+        if self.use_processes:
+            self._pump_thread = threading.Thread(
+                target=self._pump_main, daemon=True, name="repro-pool-pump"
+            )
+            self._pump_thread.start()
 
     def submit(self, worker_id: int, job_id: int, spec, ctx=None) -> None:
         """Dispatch one bound job (plus trace context) to its worker."""
@@ -189,12 +220,16 @@ class WorkerBridge:
     def _pump_main(self) -> None:
         while True:
             event = self.outbox.get()
-            if event[0] == _CLOSED[0]:
+            if event[0] == _CLOSED[0] or not self._post(event):
                 return
-            try:
-                self._loop.call_soon_threadsafe(self._dispatch, event)
-            except RuntimeError:
-                return  # loop already closed (unclean teardown)
+
+    def _post(self, event: WorkerEvent) -> bool:
+        """Hand one event to the loop; False once the loop is closed."""
+        try:
+            self._loop.call_soon_threadsafe(self._dispatch, event)
+        except RuntimeError:
+            return False  # loop already closed (unclean teardown)
+        return True
 
     def _dispatch(self, event: WorkerEvent) -> None:
         if self.on_event is not None:
@@ -211,6 +246,6 @@ class WorkerBridge:
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             await loop.run_in_executor(None, worker.join)
-        self.outbox.put(_CLOSED)
         if self._pump_thread is not None:
+            self.outbox.put(_CLOSED)
             await loop.run_in_executor(None, self._pump_thread.join)

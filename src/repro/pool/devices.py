@@ -66,7 +66,7 @@ from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
 from repro.runtime.admission import AdmissionController, AdmissionDecision
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.jobs import Job, StreamJob
-from repro.runtime.telemetry import JobReport
+from repro.runtime.telemetry import FleetReport, JobReport
 
 
 class PoolError(Exception):
@@ -110,7 +110,8 @@ class PoolJob:
     state: str = SUBMITTED
     device_id: Optional[int] = None
     vprrs: List[VirtualPRR] = field(default_factory=list)
-    report: Optional[JobReport] = None
+    #: the worker's one-job run: the JobReport plus simulated totals
+    run: Optional[FleetReport] = None
     failure_reason: str = ""
     first_sample_t: Optional[float] = None
     finished_t: Optional[float] = None
@@ -131,6 +132,10 @@ class PoolJob:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL
+
+    @property
+    def report(self) -> Optional[JobReport]:
+        return self.run.jobs[0] if self.run is not None else None
 
     def snapshot(self) -> Dict:
         """JSON-safe view for events and ``/stats``."""
@@ -342,7 +347,9 @@ class DevicePool:
             raise PoolError(
                 f"compaction must be 'off' or 'on', got {compaction!r}"
             )
-        self.params = params if params is not None else SystemParameters()
+        self.params = (
+            params if params is not None else SystemParameters.prototype()
+        )
         self.config = config if config is not None else ExecutorConfig()
         self.compaction = compaction
         self.clock = clock
@@ -634,9 +641,10 @@ class DevicePool:
                 events=len(snap.events),
             )
 
-    def _finish(self, job: PoolJob, report: JobReport) -> None:
+    def _finish(self, job: PoolJob, run: FleetReport) -> None:
         self._release(job)
-        job.report = report
+        job.run = run
+        report = run.jobs[0]
         job.finished_t = self.clock()
         if report.state == "DONE":
             job.state = DONE

@@ -8,8 +8,8 @@ Layers a production-shaped runtime on the behavioural simulation:
   control with priority queueing and preemption planning;
 * :mod:`~repro.runtime.executor` -- the per-system serving loop
   (placement via the ICAP scheduler, channels via the Table-2 API,
-  eviction via the Figure-5 drain path) and the multi-process
-  :class:`~repro.runtime.executor.FleetExecutor`;
+  eviction via the Figure-5 drain path); batches of independent jobs
+  fan out over worker processes through :func:`repro.pool.run_batch`;
 * :mod:`~repro.runtime.telemetry` -- per-job and fleet reports.
 """
 
@@ -21,7 +21,6 @@ from repro.runtime.admission import (
 )
 from repro.runtime.executor import (
     ExecutorConfig,
-    FleetExecutor,
     JobExecutor,
 )
 from repro.runtime.jobs import (
@@ -47,7 +46,6 @@ __all__ = [
     "AdmissionResult",
     "Assignment",
     "ExecutorConfig",
-    "FleetExecutor",
     "FleetReport",
     "Job",
     "JobError",

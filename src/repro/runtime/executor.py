@@ -1,4 +1,4 @@
-"""Job executors: a per-system event loop and a parallel fleet.
+"""The job executor: one event loop per simulated VAPRES system.
 
 :class:`JobExecutor` is the multi-tenant serving loop for **one**
 simulated VAPRES instance: it admits jobs through the
@@ -11,20 +11,18 @@ sources drain.  Preemption evicts lower-priority jobs through the
 Figure-5 drain path (:meth:`~repro.core.switching.ModuleSwitcher.drain`)
 so surviving streams never see an interruption.
 
-:class:`FleetExecutor` scales out: it shards *independent* jobs across N
-worker processes, each running its jobs to completion on private
-simulated VAPRES instances, and merges the per-job reports in stable
-submission order.  Job outcomes are bit-identical for any worker count:
-every job runs single-tenant on a fresh system with a seed derived from
-its own name, so sharding affects wall-clock only.
+Independent jobs scale out through :func:`repro.pool.run_batch`, which
+runs each one single-tenant on a fresh :class:`JobExecutor` inside a
+:class:`~repro.pool.DevicePool` worker.  Job outcomes are bit-identical
+for any worker count: every job's seed derives from its own name, so
+placement affects wall-clock only.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -32,7 +30,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # deferred at runtime: repro.faults imports this module
@@ -47,7 +44,6 @@ from repro.core.system import VapresSystem
 from repro.modules.base import CMD_CHECKPOINT, CMD_START, MSG_CKPT, staged
 from repro.modules.iom import Iom
 from repro.obs.metrics import (
-    MetricsRegistry,
     describe_compaction_metrics,
     describe_realtime_metrics,
 )
@@ -63,7 +59,6 @@ from repro.runtime.jobs import (
     JobState,
     ResumeState,
     StreamJob,
-    as_job_source,
 )
 from repro.runtime.telemetry import (
     FleetReport,
@@ -149,11 +144,9 @@ class JobExecutor:
         self,
         params: Optional[SystemParameters] = None,
         config: Optional[ExecutorConfig] = None,
-        shard: int = 0,
     ) -> None:
         self.params = params or SystemParameters.prototype()
         self.config = config or ExecutorConfig()
-        self.shard = shard
         self.system = VapresSystem(self.params)
         self.system.sim.set_fastpath(self.config.use_fastpath)
         self.scheduler = ReconfigScheduler(self.system.engine)
@@ -1232,7 +1225,6 @@ class JobExecutor:
             reports.append(
                 JobReport.from_job(
                     job,
-                    shard=self.shard,
                     nominal_period_s=period * divisor,
                 )
             )
@@ -1251,171 +1243,3 @@ class JobExecutor:
             span_events=self.system.sim.tracer.events,
             metrics=self.system.sim.metrics,
         )
-
-
-# ----------------------------------------------------------------------
-# fleet execution
-# ----------------------------------------------------------------------
-@dataclass
-class _ShardResult:
-    reports: List[JobReport] = field(default_factory=list)
-    sim_us: float = 0.0
-    icap_busy: float = 0.0
-    preemptions: int = 0
-    compaction_runs: int = 0
-    compaction_moves: int = 0
-    compaction_words_lost: int = 0
-    span_events: List = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
-
-
-def _run_shard(payload) -> _ShardResult:
-    """Worker entry point: run each assigned job single-tenant.
-
-    With ``config.fail_fast`` the shard stops at the first job that
-    ends FAILED or EVICTED; the shard's remaining jobs are reported as
-    FAILED with an "aborted by fail-fast" reason without running.
-    Shards are independent processes, so fail-fast is per-shard -- other
-    shards finish the job they are on but their own trigger applies.
-    """
-    shard_index, params, config, items = payload
-    result = _ShardResult(metrics=MetricsRegistry())
-    aborted_by: Optional[str] = None
-    for original_index, spec in items:
-        if aborted_by is not None:
-            report = JobReport(
-                name=spec.name,
-                span_track=f"job/{spec.name}",
-                index=original_index,
-                shard=shard_index,
-                state=JobState.FAILED.value,
-                priority=spec.priority,
-                stages=len(spec.stages),
-                words_in=spec.source.count,
-                failure_reason=aborted_by,
-            )
-            result.reports.append(report)
-            continue
-        executor = JobExecutor(
-            params=params, config=config, shard=shard_index
-        )
-        run = executor.run([spec])
-        report = run.jobs[0]
-        report.index = original_index
-        report.shard = shard_index
-        result.reports.append(report)
-        result.sim_us += run.sim_us
-        result.icap_busy = max(result.icap_busy, run.icap_busy_fraction)
-        result.preemptions += run.preemptions
-        result.compaction_runs += run.compaction_runs
-        result.compaction_moves += run.compaction_moves
-        result.compaction_words_lost += run.compaction_words_lost
-        # each job ran on its own simulator, so shared-infrastructure
-        # tracks (icap, prr/..., log.*) collide between jobs; qualify
-        # them by job so merged traces stay unambiguous
-        for event in run.span_events:
-            if not event.track.startswith("job/"):
-                event.track = f"job/{spec.name}/{event.track}"
-            result.span_events.append(event)
-        if run.metrics is not None:
-            result.metrics.merge(run.metrics)
-        if config.fail_fast and report.state in ("FAILED", "EVICTED"):
-            aborted_by = (
-                f"aborted by fail-fast after job {spec.name!r} "
-                f"ended {report.state}"
-            )
-    return result
-
-
-class FleetExecutor:
-    """Shards independent jobs over N worker processes.
-
-    Each worker serves its jobs sequentially, one fresh simulated VAPRES
-    instance per job, so a job's outputs depend only on its own spec --
-    the determinism contract behind ``workers=1`` and ``workers=4``
-    producing identical results.  ``use_processes=False`` runs the same
-    sharding in-process (useful for tests and tiny batches).
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        params: Optional[SystemParameters] = None,
-        config: Optional[ExecutorConfig] = None,
-        use_processes: bool = True,
-    ) -> None:
-        if workers < 1:
-            raise JobError("workers must be >= 1")
-        self.workers = workers
-        self.params = params or SystemParameters.prototype()
-        self.config = config or ExecutorConfig()
-        self.use_processes = use_processes
-
-    # ------------------------------------------------------------------
-    def shard(
-        self, specs: Sequence[StreamJob]
-    ) -> List[List[Tuple[int, StreamJob]]]:
-        """Deterministic round-robin partition, submission order kept."""
-        count = max(1, min(self.workers, len(specs)))
-        shards: List[List[Tuple[int, StreamJob]]] = [
-            [] for _ in range(count)
-        ]
-        for index, spec in enumerate(specs):
-            shards[index % count].append((index, spec))
-        return shards
-
-    def run(self, specs: Sequence[StreamJob]) -> FleetReport:
-        specs = list(as_job_source(specs))
-        names = [spec.name for spec in specs]
-        if len(names) != len(set(names)):
-            raise JobError("fleet job names must be unique")
-        started = time.perf_counter()
-        shards = self.shard(specs)
-        payloads = [
-            (index, self.params, self.config, shard)
-            for index, shard in enumerate(shards)
-        ]
-        if len(payloads) == 1 or not self.use_processes:
-            results = [_run_shard(payload) for payload in payloads]
-        else:
-            results = self._run_in_processes(payloads)
-        reports = sorted(
-            (report for result in results for report in result.reports),
-            key=lambda report: report.index,
-        )
-        # simulated-time total order over the merged shard traces; each
-        # job ran on a fresh simulator, so (time, track, seq) is unique
-        # and the merge is independent of worker interleaving
-        span_events = [
-            event for result in results for event in result.span_events
-        ]
-        span_events.sort(key=lambda e: (e.time_ps, e.track, e.seq))
-        metrics = MetricsRegistry()
-        for result in results:
-            if result.metrics is not None:
-                metrics.merge(result.metrics)
-        return FleetReport(
-            mode="fleet",
-            workers=len(payloads),
-            jobs=reports,
-            wall_seconds=time.perf_counter() - started,
-            sim_us=max((r.sim_us for r in results), default=0.0),
-            icap_busy_fraction=max(
-                (r.icap_busy for r in results), default=0.0
-            ),
-            preemptions=sum(r.preemptions for r in results),
-            compaction_runs=sum(r.compaction_runs for r in results),
-            compaction_moves=sum(r.compaction_moves for r in results),
-            compaction_words_lost=sum(
-                r.compaction_words_lost for r in results
-            ),
-            span_events=span_events,
-            metrics=metrics,
-        )
-
-    def _run_in_processes(self, payloads) -> List[_ShardResult]:
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else "spawn"
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=len(payloads)) as pool:
-            return pool.map(_run_shard, payloads)

@@ -210,7 +210,7 @@ class SourceSpec:
 
         Seeded kinds fall back to ``default_seed`` (the executor derives
         it from the job name) so results are reproducible regardless of
-        which fleet shard runs the job.
+        which pool worker runs the job.
         """
         p = self.params
         if self.kind == "ramp":
@@ -307,7 +307,7 @@ class StreamJob:
 
     @property
     def seed(self) -> int:
-        """Deterministic per-job seed (stable across fleet shardings)."""
+        """Deterministic per-job seed (stable across fleet worker counts)."""
         return zlib.crc32(self.name.encode("utf-8"))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -595,7 +595,7 @@ class JobFile:
     name: str
     params: SystemParameters
     jobs: List[StreamJob]
-    mode: str = "fleet"  # "fleet" (sharded, single-tenant) | "colocate"
+    mode: str = "fleet"  # "fleet" (pooled, single-tenant) | "colocate"
     workers: int = 1
     executor: Dict[str, Any] = field(default_factory=dict)
     schema_version: int = JOBFILE_SCHEMA_VERSION

@@ -5,14 +5,14 @@ placement latency, throughput, output-stream continuity via
 :mod:`repro.analysis.metrics`, eviction/retry counts); a run of the
 executor aggregates them into a :class:`FleetReport` with fleet-level
 counters (jobs by final state, aggregate throughput, ICAP busy
-fraction, wall-clock).  Both are plain data -- picklable across fleet
+fraction, wall-clock).  Both are plain data -- picklable across pool
 worker processes and exportable as JSON by ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.metrics import interruption_report
@@ -42,7 +42,6 @@ class JobReport:
 
     name: str = ""
     index: int = 0
-    shard: int = 0
     state: str = "QUEUED"
     priority: int = 0
     stages: int = 0
@@ -77,7 +76,9 @@ class JobReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy is asdict() without
+        # its recursive deep copy (the pool builds one per finished job)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "JobReport":
@@ -89,7 +90,6 @@ class JobReport:
     def from_job(
         cls,
         job,
-        shard: int = 0,
         nominal_period_s: float = 1e-8,
     ) -> "JobReport":
         """Distill a finished runtime job into its report."""
@@ -115,7 +115,6 @@ class JobReport:
             name=spec.name,
             span_track=f"job/{spec.name}",
             index=job.index,
-            shard=shard,
             state=job.state.value,
             priority=spec.priority,
             stages=len(spec.stages),
@@ -138,6 +137,20 @@ class JobReport:
             words_lost=job.words_lost,
             state_words=len(job.state_words),
             failure_reason=job.failure_reason,
+        )
+
+    @classmethod
+    def not_run(cls, spec, reason: str) -> "JobReport":
+        """A FAILED report for a job that never ran (aborted by
+        fail-fast, or failed by the pool before reaching a device)."""
+        return cls(
+            name=spec.name,
+            span_track=f"job/{spec.name}",
+            state="FAILED",
+            priority=spec.priority,
+            stages=len(spec.stages),
+            words_in=spec.source.count,
+            failure_reason=reason,
         )
 
 
@@ -172,7 +185,7 @@ class FleetReport:
     compaction_moves: int = 0
     compaction_words_lost: int = 0
     #: in-memory carriers only -- span events (obs.spans.SpanEvent, merged
-    #: across shards) and the merged obs.metrics.MetricsRegistry; excluded
+    #: across jobs) and the merged obs.metrics.MetricsRegistry; excluded
     #: from to_dict/JSON (exported separately as Chrome trace / Prometheus
     #: text by ``serve --trace-out`` / ``--metrics-out``)
     span_events: List[Any] = field(default_factory=list, repr=False)

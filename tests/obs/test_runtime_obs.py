@@ -6,9 +6,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs.export import load_chrome_trace
+from repro.pool import run_batch
 from repro.runtime import (
     ExecutorConfig,
-    FleetExecutor,
     SourceSpec,
     StreamJob,
 )
@@ -60,6 +60,13 @@ def test_job_and_fleet_reports_carry_schema_version():
     assert restored.jobs[0].name == "j"
 
 
+def test_job_report_loads_dumps_with_the_retired_shard_field():
+    data = JobReport(name="j", index=3).to_dict()
+    assert "shard" not in data
+    restored = JobReport.from_dict({**data, "shard": 2})
+    assert restored == JobReport(name="j", index=3)
+
+
 def test_loaders_reject_unknown_schema_version():
     data = FleetReport().to_dict()
     data["schema_version"] = 99
@@ -87,10 +94,9 @@ def _run(workers: int) -> FleetReport:
 
     params = replace(SystemParameters.prototype(), pr_speedup=20000.0)
     config = ExecutorConfig(quantum_us=10.0, max_us=5000.0)
-    fleet = FleetExecutor(
-        workers=workers, params=params, config=config, use_processes=False
+    return run_batch(
+        _specs(), workers, params=params, config=config, use_processes=False
     )
-    return fleet.run(_specs())
 
 
 def test_fleet_metrics_merge_is_worker_count_invariant():

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.params import SystemParameters
 from repro.pool import DevicePool, PoolError
-from repro.runtime import ExecutorConfig, FleetExecutor
+from repro.runtime import ExecutorConfig, JobExecutor
 from repro.runtime.jobs import SourceSpec, StageSpec, StreamJob
 
 FAST = replace(SystemParameters.prototype(), pr_speedup=20_000.0)
@@ -69,16 +69,16 @@ def test_pool_runs_batch_to_done():
 
 def test_pool_results_match_single_device_and_fleet():
     """Differential determinism: 4-device overcommitted pool ==
-    1-device pool == plain FleetExecutor, job for job."""
+    1-device pool == a plain JobExecutor run per job, job for job."""
     specs = [
         tiny_job(f"d{i}", stages=1 + i % 2, count=6 + i) for i in range(8)
     ]
     pool4, jobs4 = asyncio.run(run_pool(specs, devices=4))
     pool1, jobs1 = asyncio.run(run_pool(specs, devices=1))
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=CONFIG, use_processes=False
-    ).run(specs)
-    by_name = {r.name: r for r in fleet.jobs}
+    by_name = {
+        spec.name: JobExecutor(params=FAST, config=CONFIG).run([spec]).jobs[0]
+        for spec in specs
+    }
     for j4, j1 in zip(jobs4, jobs1):
         assert fingerprint(j4) == fingerprint(j1)
         f = by_name[j4.spec.name]
@@ -250,6 +250,12 @@ def test_duplicate_active_name_and_draining_are_rejected():
             pool.submit(tiny_job("late"))
         await pool.stop(drain=False)
     asyncio.run(scenario())
+
+
+def test_pool_default_params_match_the_executor():
+    # run_batch inherits the pool's default, so it must be the same
+    # system a bare JobExecutor builds
+    assert DevicePool().params == JobExecutor().params
 
 
 def test_too_wide_job_fails_immediately():

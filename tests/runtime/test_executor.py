@@ -1,4 +1,4 @@
-"""End-to-end tests for the colocated executor and the fleet.
+"""End-to-end tests for the colocated executor and batch serving.
 
 These run real simulations (MicroBlaze software, ICAP reconfiguration,
 switch-box channels), so sources are kept small.
@@ -9,9 +9,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core.params import SystemParameters
+from repro.obs.export import prometheus_text
+from repro.pool import run_batch
 from repro.runtime import (
     ExecutorConfig,
-    FleetExecutor,
     JobError,
     JobExecutor,
     JobState,
@@ -170,42 +171,76 @@ def test_executor_config_validation():
 # ----------------------------------------------------------------------
 def test_fleet_merges_in_submission_order():
     jobs = [ramp_job(f"job{i}", count=80 + 10 * i) for i in range(5)]
-    fleet = FleetExecutor(
-        workers=3, params=FAST, config=CONFIG, use_processes=False
+    report = run_batch(
+        jobs, 3, params=FAST, config=CONFIG, use_processes=False
     )
-    report = fleet.run(jobs)
     assert [j.name for j in report.jobs] == [f"job{i}" for i in range(5)]
+    assert [j.index for j in report.jobs] == list(range(5))
     assert report.states == {"DONE": 5}
-    assert {j.shard for j in report.jobs} == {0, 1, 2}
 
 
 def test_fleet_rejects_duplicate_names():
-    fleet = FleetExecutor(workers=2, params=FAST, use_processes=False)
     with pytest.raises(JobError, match="unique"):
-        fleet.run([ramp_job("dup"), ramp_job("dup")])
+        run_batch([ramp_job("dup"), ramp_job("dup")], 2, params=FAST,
+                  use_processes=False)
 
 
 def test_fleet_worker_count_is_clamped():
-    fleet = FleetExecutor(workers=8, params=FAST, config=CONFIG,
-                          use_processes=False)
-    report = fleet.run([ramp_job("only", count=60)])
-    assert report.workers == 1  # one job, one shard
+    report = run_batch([ramp_job("only", count=60)], 8, params=FAST,
+                       config=CONFIG, use_processes=False)
+    assert report.workers == 1  # one job, one worker
     with pytest.raises(JobError):
-        FleetExecutor(workers=0)
+        run_batch([ramp_job("only")], 0)
 
 
 def test_fleet_real_processes_match_inline():
     """Real multiprocessing returns the same reports as in-process."""
     jobs = [ramp_job(f"p{i}", count=60) for i in range(4)]
-    inline = FleetExecutor(
-        workers=2, params=FAST, config=CONFIG, use_processes=False
-    ).run(jobs)
-    forked = FleetExecutor(
-        workers=2, params=FAST, config=CONFIG, use_processes=True
-    ).run(jobs)
+    inline = run_batch(
+        jobs, 2, params=FAST, config=CONFIG, use_processes=False
+    )
+    forked = run_batch(
+        jobs, 2, params=FAST, config=CONFIG, use_processes=True
+    )
     for a, b in zip(inline.jobs, forked.jobs):
         da, db = a.to_dict(), b.to_dict()
         assert da == db
+
+
+def test_fleet_four_processes_equal_one_inline_worker():
+    """Every FleetReport field but wall-clock and worker count is the
+    same at 4 worker processes as at 1 inline worker -- including the
+    FAILED report of a job too wide for the 2-PRR device."""
+    jobs = [
+        ramp_job(f"w{i}", count=60 + 20 * i,
+                 stages=[StageSpec("passthrough")] * (1 + i % 2))
+        for i in range(5)
+    ]
+    jobs.append(ramp_job("too-wide", stages=[StageSpec("abs")] * 3))
+    one = run_batch(jobs, 1, params=FAST, config=CONFIG)
+    four = run_batch(jobs, 4, params=FAST, config=CONFIG)
+    assert (one.workers, four.workers) == (1, 4)
+    wide = four.job("too-wide")
+    assert wide.state == "FAILED" and wide.index == 5
+    assert "needs 3 PRRs" in wide.failure_reason
+    assert four.states == {"DONE": 5, "FAILED": 1}
+
+    def fields(report):
+        data = report.to_dict()
+        del data["wall_seconds"], data["workers"]
+        return data
+
+    def spans(report):
+        return [(e.kind, e.name, e.track, e.time_ps, e.attrs)
+                for e in report.span_events]
+
+    def metrics(report):  # minus the wall-clock quantum histogram
+        return [line for line in prometheus_text(report.metrics).splitlines()
+                if "quantum_seconds" not in line]
+
+    assert fields(one) == fields(four)
+    assert spans(one) == spans(four)
+    assert metrics(one) == metrics(four)
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +268,9 @@ def test_fail_fast_fleet_skips_rest_of_shard():
         ramp_job("never-ran", count=100),
     ]
     config = replace(CONFIG, fail_fast=True)
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=config, use_processes=False
+    report = run_batch(
+        jobs, 1, params=FAST, config=config, use_processes=False
     )
-    report = fleet.run(jobs)
     skipped = report.job("never-ran")
     assert skipped.state == "FAILED"
     assert "aborted by fail-fast" in skipped.failure_reason
@@ -248,10 +282,9 @@ def test_without_fail_fast_survivors_complete():
         ramp_job("rushed", count=500_000, deadline_us=30.0),
         ramp_job("survivor", count=100),
     ]
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=CONFIG, use_processes=False
+    report = run_batch(
+        jobs, 1, params=FAST, config=CONFIG, use_processes=False
     )
-    report = fleet.run(jobs)
     assert report.job("rushed").state == "FAILED"
     assert report.job("survivor").state == "DONE"
 

@@ -149,3 +149,11 @@ def test_submit_connection_refused_is_reported(tiny_jobfile, capsys):
 def test_serve_listen_rejects_bad_hostport(tiny_jobfile, capsys):
     assert main(["serve", tiny_jobfile, "--listen", "8080"]) == 2
     assert "HOST:PORT" in capsys.readouterr().err
+
+
+def test_serve_listen_rejects_fail_fast(tiny_jobfile, capsys):
+    # fail-fast stops a worker after one failed job; on a long-lived
+    # server that would disable a device for good
+    args = ["serve", tiny_jobfile, "--listen", "127.0.0.1:0", "--fail-fast"]
+    assert main(args) == 2
+    assert "--fail-fast" in capsys.readouterr().err
