@@ -8,7 +8,9 @@ the MicroBlaze) and an FSL master port (monitoring words, saved state and
 completion messages towards the MicroBlaze).
 
 :class:`HardwareModule` is that wrapper.  Subclasses implement
-:meth:`~HardwareModule.process` (and optionally declare state registers);
+:meth:`~HardwareModule.process` or its block form
+:meth:`~HardwareModule.process_block` (and optionally declare state
+registers);
 the base class provides the per-cycle FSM with blocking-read /
 blocking-write KPN semantics and the drain-and-terminate protocol of the
 switching methodology (Figure 5):
@@ -31,7 +33,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.fsl import FslLink
 from repro.comm.interfaces import ConsumerInterface, ProducerInterface
-from repro.modules.state import from_u32, to_u32
+from repro.modules.state import WORD_MASK, from_u32, to_u32
 from repro.sim.clock import ClockedComponent
 from repro.sim.fastpath import Replay, Stage
 
@@ -59,6 +61,19 @@ def staged(module: "HardwareModule") -> "HardwareModule":
     module.auto_start = False
     module.started = False
     return module
+
+
+def _one_word(cls: type, block):
+    """``cls.process``: ``block``, the class's own ``process_block``, on
+    one word.  Bound to ``block`` rather than looked up on ``self``, so a
+    subclass's ``super().process`` still runs this class's arithmetic."""
+
+    def process(self: "HardwareModule", sample: int) -> ProcessResult:
+        return block(self, (sample,))[0]
+
+    process.__qualname__ = f"{cls.__qualname__}.process"
+    process.__doc__ = f"One word through :meth:`{cls.__name__}.process_block`."
+    return process
 
 
 class ModuleError(Exception):
@@ -98,8 +113,17 @@ class HardwareModule(ClockedComponent):
     ``fixed_rate``
         True when :meth:`process` returns exactly one ``int`` per word
         and :meth:`select_input` always reads port 0, so steady-state
-        replay may move words through the module.  A subclass that
-        redefines either method without restating it is not fixed-rate.
+        replay may move words through the module: it hands each step's
+        words to :meth:`process_block` in one call.  A subclass that
+        redefines :meth:`process`, :meth:`process_block` or
+        :meth:`select_input` without restating it is not fixed-rate.
+
+    A subclass implements :meth:`process`, :meth:`process_block` or both.
+    One that defines only :meth:`process_block` gets a :meth:`process`
+    that runs that block method on one word, so its arithmetic exists
+    once.  One that defines only :meth:`process` gets the per-word
+    default :meth:`process_block`, never its parent's: the parent's
+    block method runs the parent's arithmetic.
     """
 
     cycles_per_sample: int = 1
@@ -111,7 +135,13 @@ class HardwareModule(ClockedComponent):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = cls.__dict__
-        if ("process" in own or "select_input" in own) and "fixed_rate" not in own:
+        per_word = "process" in own
+        block = "process_block" in own
+        if per_word and not block:
+            cls.process_block = HardwareModule.process_block
+        elif block and not per_word:
+            cls.process = _one_word(cls, own["process_block"])
+        if (per_word or block or "select_input" in own) and "fixed_rate" not in own:
             # the parent's rate describes the parent's process()
             cls.fixed_rate = False
 
@@ -148,6 +178,18 @@ class HardwareModule(ClockedComponent):
         producer port 0) or a sequence of ``(port_index, word)`` pairs.
         """
         raise NotImplementedError
+
+    def process_block(self, samples: Sequence[int]) -> List[ProcessResult]:
+        """Transform a block of input words, oldest first: one result per
+        word, each what :meth:`process` returns for it, and the state
+        registers as :meth:`process` leaves them after the last word.
+
+        The default calls :meth:`process` once per word.  A
+        :attr:`fixed_rate` module may load its state registers into
+        locals once, loop, and write them back once.
+        """
+        process = self.process
+        return [process(sample) for sample in samples]
 
     def monitor_value(self) -> int:
         """The monitoring word periodically sent to the MicroBlaze."""
@@ -321,7 +363,7 @@ class HardwareModule(ClockedComponent):
         )
 
     def _replay(self, replay: Replay) -> None:
-        """Two delay lines around ``process``: the words read queue
+        """Two delay lines around ``process_block``: the words read queue
         behind the in-flight one, and the outputs behind the pending ones;
         as many leave each line as enter it."""
         words = replay.take(self.ports.consumers[0].fifo)
@@ -331,14 +373,13 @@ class HardwareModule(ClockedComponent):
         if self._in_flight is not None:
             words.insert(0, self._in_flight)
             self._in_flight = words.pop()
-        process = self.process
-        outputs = [to_u32(process(word)) for word in words]
+        outputs = self.process_block(words)
         if self._pending_out:
             queued = [word for _, word in self._pending_out] + outputs
             outputs = queued[:count]
-            self._pending_out = [(0, word) for word in queued[count:]]
+            self._pending_out = [(0, word & WORD_MASK) for word in queued[count:]]
         producer = self.ports.producers[0]
-        mask = producer.mask
+        mask = producer.mask & WORD_MASK
         replay.feed(producer.fifo, [word & mask for word in outputs])
 
     # -- FSM pieces -----------------------------------------------------

@@ -10,10 +10,18 @@ hot-swappable by the switching methodology.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.modules.base import HardwareModule
-from repro.modules.state import from_u32, saturate32, to_u32
+from repro.modules.state import (
+    INT32_MAX,
+    INT32_MIN,
+    SIGN_BIT,
+    WORD_MASK,
+    from_u32,
+    saturate32,
+    to_u32,
+)
 
 
 class Upsampler(HardwareModule):
@@ -41,8 +49,13 @@ class AbsValue(HardwareModule):
 
     fixed_rate = True
 
-    def process(self, sample: int) -> int:
-        return saturate32(abs(from_u32(sample)))
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi = INT32_MAX
+        out = []
+        for sample in samples:
+            y = abs(((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT)
+            out.append(hi if y > hi else y)
+        return out
 
 
 class PeakHold(HardwareModule):
@@ -53,6 +66,7 @@ class PeakHold(HardwareModule):
     the MicroBlaze's adaptation decisions, Figure 5 step 2).
     """
 
+    fixed_rate = True
     state_register_names = ("peak",)
 
     def __init__(self, name: str, decay_shift: int = 4,
@@ -64,11 +78,19 @@ class PeakHold(HardwareModule):
         self.peak = 0
         self.monitor_interval = monitor_interval
 
-    def process(self, sample: int) -> int:
-        magnitude = abs(from_u32(sample))
-        decayed = self.peak - (self.peak >> self.decay_shift)
-        self.peak = saturate32(max(magnitude, decayed))
-        return self.peak
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        shift = self.decay_shift
+        peak = self.peak
+        out = []
+        for sample in samples:
+            magnitude = abs(((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT)
+            decayed = peak - (peak >> shift)
+            peak = magnitude if magnitude > decayed else decayed
+            peak = hi if peak > hi else lo if peak < lo else peak
+            out.append(peak)
+        self.peak = peak
+        return out
 
     def monitor_value(self) -> int:
         return self.peak
@@ -85,6 +107,7 @@ class NoiseGate(HardwareModule):
     downstream timing is unchanged).
     """
 
+    fixed_rate = True
     state_register_names = ("gate_open",)
 
     def __init__(self, name: str, open_at: int, close_at: Optional[int] = None) -> None:
@@ -97,15 +120,21 @@ class NoiseGate(HardwareModule):
             raise ValueError("close_at must not exceed open_at (hysteresis)")
         self.gate_open = 0
 
-    def process(self, sample: int) -> int:
-        value = from_u32(sample)
-        magnitude = abs(value)
-        if self.gate_open:
-            if magnitude < self.close_at:
-                self.gate_open = 0
-        elif magnitude >= self.open_at:
-            self.gate_open = 1
-        return value if self.gate_open else 0
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        open_at, close_at = self.open_at, self.close_at
+        gate_open = self.gate_open
+        out = []
+        for sample in samples:
+            value = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            magnitude = abs(value)
+            if gate_open:
+                if magnitude < close_at:
+                    gate_open = 0
+            elif magnitude >= open_at:
+                gate_open = 1
+            out.append(value if gate_open else 0)
+        self.gate_open = gate_open
+        return out
 
     def on_reset(self) -> None:
         self.gate_open = 0

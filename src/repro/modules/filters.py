@@ -10,10 +10,11 @@ replacement module (Figure 5 steps 6-7).
 from __future__ import annotations
 
 import statistics
+from operator import mul
 from typing import List, Sequence
 
 from repro.modules.base import HardwareModule
-from repro.modules.state import from_u32, saturate32
+from repro.modules.state import INT32_MAX, INT32_MIN, SIGN_BIT, WORD_MASK
 
 Q15_SHIFT = 15
 Q15_ONE = 1 << Q15_SHIFT
@@ -53,17 +54,23 @@ class FirFilter(HardwareModule):
     ) -> "FirFilter":
         return cls(name, [q15(c) for c in coefficients], **kw)
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        # shift the delay line (d0 is the newest sample)
-        for i in range(len(self.taps) - 1, 0, -1):
-            setattr(self, f"d{i}", getattr(self, f"d{i - 1}"))
-        self.d0 = x
-        acc = sum(
-            self.taps[i] * getattr(self, f"d{i}") for i in range(len(self.taps))
-        )
-        self._last_output = saturate32(acc >> Q15_SHIFT)
-        return self._last_output
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        taps = self.taps
+        names = self.state_register_names
+        # the delay line, d0 (the newest sample) first
+        line = [getattr(self, name) for name in names]
+        out = []
+        for sample in samples:
+            line.pop()
+            line.insert(0, ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT)
+            y = sum(map(mul, taps, line)) >> Q15_SHIFT
+            out.append(hi if y > hi else lo if y < lo else y)
+        if out:
+            for name, value in zip(names, line):
+                setattr(self, name, value)
+            self._last_output = out[-1]
+        return out
 
     def monitor_value(self) -> int:
         return self._last_output
@@ -82,6 +89,7 @@ class BiquadIir(HardwareModule):
     successor for glitch-free continuation.
     """
 
+    fixed_rate = True
     state_register_names = ("z1", "z2")
 
     def __init__(
@@ -109,15 +117,27 @@ class BiquadIir(HardwareModule):
     ) -> "BiquadIir":
         return cls(name, [q15(v) for v in b], [q15(v) for v in a], **kw)
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        y = (self.b[0] * x + (self.z1 << Q15_SHIFT)) >> Q15_SHIFT
-        y = saturate32(y)
-        self.z1 = saturate32((self.b[1] * x - self.a[0] * y) >> Q15_SHIFT) + self.z2
-        self.z1 = saturate32(self.z1)
-        self.z2 = saturate32((self.b[2] * x - self.a[1] * y) >> Q15_SHIFT)
-        self._last_output = y
-        return y
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        b0, b1, b2 = self.b
+        a1, a2 = self.a
+        z1, z2 = self.z1, self.z2
+        out = []
+        for sample in samples:
+            x = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            y = (b0 * x + (z1 << Q15_SHIFT)) >> Q15_SHIFT
+            y = hi if y > hi else lo if y < lo else y
+            z1 = (b1 * x - a1 * y) >> Q15_SHIFT
+            z1 = hi if z1 > hi else lo if z1 < lo else z1
+            z1 += z2
+            z1 = hi if z1 > hi else lo if z1 < lo else z1
+            z2 = (b2 * x - a2 * y) >> Q15_SHIFT
+            z2 = hi if z2 > hi else lo if z2 < lo else z2
+            out.append(y)
+        if out:
+            self.z1, self.z2 = z1, z2
+            self._last_output = out[-1]
+        return out
 
     def monitor_value(self) -> int:
         return self._last_output
@@ -151,19 +171,31 @@ class MovingAverage(HardwareModule):
         )
         self.on_reset()
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        widx = self.widx
-        # running sum: subtract the slot being overwritten, add the new
-        # sample; identical to summing the filled window every sample
-        if self.wfill < self.window:
-            self.wfill += 1
-            self._wtotal += x
-        else:
-            self._wtotal += x - getattr(self, f"w{widx}")
-        setattr(self, f"w{widx}", x)
-        self.widx = (widx + 1) % self.window
-        return saturate32(self._wtotal // self.wfill)
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        window = self.window
+        names = self.state_register_names[:window]
+        slots = [getattr(self, name) for name in names]
+        widx, wfill, total = self.widx, self.wfill, self._wtotal
+        out = []
+        for sample in samples:
+            x = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            # running sum: subtract the slot being overwritten, add the new
+            # sample; identical to summing the filled window every sample
+            if wfill < window:
+                wfill += 1
+                total += x
+            else:
+                total += x - slots[widx]
+            if 0 <= widx < window:  # see MedianFilter.process_block
+                slots[widx] = x
+            widx = (widx + 1) % window
+            y = total // wfill
+            out.append(hi if y > hi else lo if y < lo else y)
+        for name, value in zip(names, slots):
+            setattr(self, name, value)
+        self.widx, self.wfill, self._wtotal = widx, wfill, total
+        return out
 
     def restore_state(self, words: Sequence[int]) -> None:
         super().restore_state(words)
@@ -202,14 +234,28 @@ class MedianFilter(HardwareModule):
         )
         self.on_reset()
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        setattr(self, f"w{self.widx}", x)
-        self.widx = (self.widx + 1) % self.window
-        if self.wfill < self.window:
-            self.wfill += 1
-        values: List[int] = [getattr(self, f"w{i}") for i in range(self.wfill)]
-        return saturate32(int(statistics.median(values)))
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        """An index restored from a wider window (a swap from another
+        module) names no slot: that one word is not kept, as a register
+        file drops a write to an unmapped address."""
+        hi, lo = INT32_MAX, INT32_MIN
+        window = self.window
+        names = self.state_register_names[:window]
+        slots = [getattr(self, name) for name in names]
+        widx, wfill = self.widx, self.wfill
+        out = []
+        for sample in samples:
+            if 0 <= widx < window:
+                slots[widx] = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            widx = (widx + 1) % window
+            if wfill < window:
+                wfill += 1
+            y = int(statistics.median(slots[:wfill]))
+            out.append(hi if y > hi else lo if y < lo else y)
+        for name, value in zip(names, slots):
+            setattr(self, name, value)
+        self.widx, self.wfill = widx, wfill
+        return out
 
     def on_reset(self) -> None:
         for i in range(self.window):

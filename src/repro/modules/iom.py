@@ -25,7 +25,7 @@ from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.comm.fsl import FslLink
 from repro.modules.base import EOS_WORD, ModulePorts
-from repro.modules.state import from_u32, to_u32
+from repro.modules.state import SIGN_BIT, WORD_MASK, from_u32, to_u32
 from repro.sim.clock import ClockedComponent
 from repro.sim.fastpath import Replay, Stage
 
@@ -171,8 +171,8 @@ class Iom(ClockedComponent):
         if not words:
             return
         producer = self.ports.producers[0]
-        mask = producer.mask
-        replay.feed(producer.fifo, [to_u32(word) & mask for word in words])
+        mask = producer.mask & WORD_MASK
+        replay.feed(producer.fifo, [word & mask for word in words])
         if self.sim is not None:
             _stamp(self.emit_times, per_period, replay)
 
@@ -180,7 +180,10 @@ class Iom(ClockedComponent):
         words = replay.take(self.ports.consumers[0].fifo)
         if not words:
             return
-        self.received.extend([from_u32(word) for word in words])
+        # from_u32 without a call per word
+        self.received.extend(
+            [((word + SIGN_BIT) & WORD_MASK) - SIGN_BIT for word in words]
+        )
         if self.sim is not None:
             _stamp(self.receive_times, len(words) // replay.periods, replay)
 
@@ -237,9 +240,16 @@ class Iom(ClockedComponent):
 
 def _stamp(times: List[int], per_period: int, replay: Replay) -> None:
     """Extend ``times`` by ``replay.periods`` copies of its last period's
-    ``per_period`` entries, each a period later than the one before."""
+    ``per_period`` entries, each a period later than the one before.
+
+    The entries at one offset in the period form an arithmetic
+    progression with step ``replay.span``, so each offset is one
+    ``range`` assigned to every ``per_period``-th new slot."""
     last = times[-per_period:]
+    step = len(last)
+    start = len(times)
+    periods = replay.periods
     span = replay.span
-    for k in range(1, replay.periods + 1):
-        shift = k * span
-        times.extend([t + shift for t in last])
+    times.extend(last * periods)
+    for offset, t in enumerate(last):
+        times[start + offset :: step] = range(t + span, t + periods * span + 1, span)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
-_SIGN_BIT = 1 << (WORD_BITS - 1)
+#: ``from_u32(w) == ((w + SIGN_BIT) & WORD_MASK) - SIGN_BIT`` for every
+#: int ``w``: the one-expression decode that block loops inline
+SIGN_BIT = 1 << (WORD_BITS - 1)
 
-INT32_MIN = -_SIGN_BIT
-INT32_MAX = _SIGN_BIT - 1
+INT32_MIN = -SIGN_BIT
+INT32_MAX = SIGN_BIT - 1
 
 
 def to_u32(value: int) -> int:
@@ -23,7 +25,7 @@ def to_u32(value: int) -> int:
 def from_u32(word: int) -> int:
     """Decode an unsigned 32-bit word as a signed integer."""
     word &= WORD_MASK
-    return word - (1 << WORD_BITS) if word & _SIGN_BIT else word
+    return word - (1 << WORD_BITS) if word & SIGN_BIT else word
 
 
 def saturate32(value: int) -> int:

@@ -7,11 +7,20 @@ used to build non-linear Kahn process networks inside an RSB (Figure 4).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import struct
+import zlib
+from typing import List, Optional, Sequence, Tuple
 
 from repro.modules.base import HardwareModule
 from repro.modules.filters import Q15_SHIFT
-from repro.modules.state import from_u32, saturate32, to_u32
+from repro.modules.state import (
+    INT32_MAX,
+    INT32_MIN,
+    SIGN_BIT,
+    WORD_MASK,
+    from_u32,
+    to_u32,
+)
 
 
 class PassThrough(HardwareModule):
@@ -19,8 +28,8 @@ class PassThrough(HardwareModule):
 
     fixed_rate = True
 
-    def process(self, sample: int) -> int:
-        return from_u32(sample)
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        return [((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT for sample in samples]
 
 
 class Scaler(HardwareModule):
@@ -34,8 +43,14 @@ class Scaler(HardwareModule):
         self.gain = int(gain)
         self.monitor_interval = monitor_interval
 
-    def process(self, sample: int) -> int:
-        return saturate32((from_u32(sample) * self.gain) >> Q15_SHIFT)
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        gain = self.gain
+        out = []
+        for sample in samples:
+            y = ((((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT) * gain) >> Q15_SHIFT
+            out.append(hi if y > hi else lo if y < lo else y)
+        return out
 
     def on_reset(self) -> None:
         # gain is a configured parameter; reset keeps it (register with
@@ -104,11 +119,17 @@ class DeltaEncoder(HardwareModule):
         super().__init__(name)
         self.prev = 0
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        delta = saturate32(x - self.prev)
-        self.prev = x
-        return delta
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        prev = self.prev
+        out = []
+        for sample in samples:
+            x = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            y = x - prev
+            out.append(hi if y > hi else lo if y < lo else y)
+            prev = x
+        self.prev = prev
+        return out
 
     def on_reset(self) -> None:
         self.prev = 0
@@ -124,9 +145,16 @@ class DeltaDecoder(HardwareModule):
         super().__init__(name)
         self.prev = 0
 
-    def process(self, sample: int) -> int:
-        self.prev = saturate32(self.prev + from_u32(sample))
-        return self.prev
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        hi, lo = INT32_MAX, INT32_MIN
+        prev = self.prev
+        out = []
+        for sample in samples:
+            prev += ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
+            prev = hi if prev > hi else lo if prev < lo else prev
+            out.append(prev)
+        self.prev = prev
+        return out
 
     def on_reset(self) -> None:
         self.prev = 0
@@ -141,8 +169,6 @@ class Crc32(HardwareModule):
     """
 
     fixed_rate = True
-
-    POLY = 0xEDB88320
     state_register_names = ("crc",)
 
     def __init__(self, name: str, monitor_interval: int = 0) -> None:
@@ -150,18 +176,16 @@ class Crc32(HardwareModule):
         self.crc = 0xFFFFFFFF
         self.monitor_interval = monitor_interval
 
-    def process(self, sample: int) -> int:
-        word = to_u32(sample)
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        """The reflected CRC-32 register (polynomial ``0xEDB88320``, no
+        final inversion) over each word's bytes, least significant first.
+        zlib runs the same register with its inversions around it, so
+        ``zlib.crc32(data, crc ^ WORD_MASK) ^ WORD_MASK`` advances it."""
+        words = [sample & WORD_MASK for sample in samples]
+        data = struct.pack(f"<{len(words)}I", *words)
         # state restore decodes registers as signed; CRC math is unsigned
-        crc = to_u32(self.crc)
-        for _ in range(4):
-            byte = word & 0xFF
-            word >>= 8
-            crc ^= byte
-            for _ in range(8):
-                crc = (crc >> 1) ^ (self.POLY if crc & 1 else 0)
-        self.crc = crc & 0xFFFFFFFF
-        return from_u32(sample)
+        self.crc = zlib.crc32(data, to_u32(self.crc) ^ WORD_MASK) ^ WORD_MASK
+        return [((word + SIGN_BIT) & WORD_MASK) - SIGN_BIT for word in words]
 
     def monitor_value(self) -> int:
         return self.crc
@@ -181,13 +205,12 @@ class MinMaxTracker(HardwareModule):
         self.monitor_interval = monitor_interval
         self.on_reset()
 
-    def process(self, sample: int) -> int:
-        x = from_u32(sample)
-        if x < self.seen_min:
-            self.seen_min = x
-        if x > self.seen_max:
-            self.seen_max = x
-        return x
+    def process_block(self, samples: Sequence[int]) -> List[int]:
+        out = [((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT for sample in samples]
+        if out:
+            self.seen_min = min(self.seen_min, min(out))
+            self.seen_max = max(self.seen_max, max(out))
+        return out
 
     def monitor_value(self) -> int:
         return to_u32(self.seen_max)

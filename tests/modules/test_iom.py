@@ -5,8 +5,9 @@ import pytest
 from repro.comm.fsl import FslLink
 from repro.comm.interfaces import ConsumerInterface, ProducerInterface
 from repro.modules.base import EOS_WORD, ModulePorts
-from repro.modules.iom import MSG_EOS, Iom
+from repro.modules.iom import MSG_EOS, Iom, _stamp
 from repro.modules.state import to_u32
+from repro.sim.fastpath import Replay
 
 
 def harness(iom, depth=64):
@@ -169,3 +170,25 @@ def test_iom_with_full_producer_is_quiescent():
     assert iom.words_emitted == 4
     iom.idle_advance(3)
     assert iom.cycles == before + 6
+
+
+def stamp_per_period(times, per_period, replay):
+    """The per-period loop ``_stamp`` replaced, kept as its reference."""
+    last = times[-per_period:]
+    span = replay.span
+    for k in range(1, replay.periods + 1):
+        shift = k * span
+        times.extend([t + shift for t in last])
+
+
+@pytest.mark.parametrize("per_period", [1, 2, 3, 4])
+@pytest.mark.parametrize("periods", [1, 2, 7, 2048])
+def test_stamp_matches_per_period_loop(per_period, periods):
+    # more than one period already stamped, at uneven offsets
+    times = [1_000 + 37 * i + (i % 3) * 5 for i in range(3 * per_period + 1)]
+    expected = list(times)
+    replay = Replay(periods, 10_000, {}, {})
+    stamp_per_period(expected, per_period, replay)
+    _stamp(times, per_period, replay)
+    assert times == expected
+    assert len(times) == 3 * per_period + 1 + periods * per_period

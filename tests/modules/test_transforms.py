@@ -3,6 +3,8 @@
 import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.comm.fsl import FslLink
 from repro.comm.interfaces import ConsumerInterface, ProducerInterface
@@ -114,6 +116,35 @@ def test_crc32_matches_zlib():
     assert out == samples  # passthrough
     data = b"".join(to_u32(s).to_bytes(4, "little") for s in samples)
     assert crc_module.crc == (zlib.crc32(data) ^ 0xFFFFFFFF)
+
+
+def crc_bit_loop(crc, words):
+    """The bitwise register update ``Crc32`` once ran per word, kept as
+    the reference for its one ``zlib.crc32`` call per block."""
+    crc = to_u32(crc)
+    for word in words:
+        word = to_u32(word)
+        for _ in range(4):
+            crc ^= word & 0xFF
+            word >>= 8
+            for _ in range(8):
+                crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+    return crc
+
+
+@given(
+    start=st.integers(0, 2**32 - 1),
+    words=st.lists(
+        st.one_of(st.sampled_from([0x7FFFFFFF, 0x80000000, 0xFFFFFFFF]),
+                  st.integers(-(2**33), 2**33)),
+        max_size=24,
+    ),
+)
+def test_crc32_block_equals_bit_loop(start, words):
+    module = Crc32("crc")
+    module.restore_state([start])
+    assert module.process_block(words) == [from_u32(w) for w in words]
+    assert module.crc == crc_bit_loop(start, words)
 
 
 def test_crc32_state_transplant_continues_checksum():

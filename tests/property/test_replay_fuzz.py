@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 
 from repro.core import SystemParameters, VapresSystem
 from repro.modules import Iom
-from repro.modules.conditioning import AbsValue
-from repro.modules.filters import FirFilter, MedianFilter, MovingAverage
+from repro.modules.conditioning import AbsValue, NoiseGate, PeakHold
+from repro.modules.filters import BiquadIir, FirFilter, MedianFilter, MovingAverage
 from repro.modules.sources import from_samples
 from repro.modules.state import from_u32, to_u32
 from repro.modules.transforms import (
@@ -70,6 +70,11 @@ FIXED_RATE = {
     "abs": lambda n, p: AbsValue(n),
     "median": lambda n, p: MedianFilter(n, window=1 + p % 4),
     "minmax": lambda n, p: MinMaxTracker(n),
+    "biquad": lambda n, p: BiquadIir(
+        n, [p * 331 % 40000 - 20000, 16384, p % 9 - 4], [p * 97 % 30000 - 15000, 900]
+    ),
+    "peak": lambda n, p: PeakHold(n, decay_shift=p % 6),
+    "gate": lambda n, p: NoiseGate(n, open_at=(p * 2_000_003) % 2**31),
 }
 VARIABLE_RATE = {
     "decim": lambda n, p: Decimator(n, factor=2 + p % 3),
