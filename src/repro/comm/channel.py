@@ -200,7 +200,12 @@ class StreamingChannel:
         consumer = self.consumer
         if consumer.fifo_wen:
             mask = consumer.mask
-            replay.feed(consumer.fifo, [word & mask for word in words])
+            # the producer FIFO holds words under the producer's mask, and
+            # replay runs only without a fault OR, so a consumer at least
+            # as wide keeps every word as it is
+            if self.producer.mask & ~mask:
+                words = [word & mask for word in words]
+            replay.feed(consumer.fifo, words)
 
     # ------------------------------------------------------------------
     @property

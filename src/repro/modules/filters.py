@@ -10,11 +10,18 @@ replacement module (Figure 5 steps 6-7).
 from __future__ import annotations
 
 import statistics
-from operator import mul
+from itertools import accumulate, repeat
+from operator import floordiv, mul, sub
 from typing import List, Sequence
 
 from repro.modules.base import HardwareModule
-from repro.modules.state import INT32_MAX, INT32_MIN, SIGN_BIT, WORD_MASK
+from repro.modules.state import (
+    INT32_MAX,
+    INT32_MIN,
+    SIGN_BIT,
+    WORD_MASK,
+    from_u32_block,
+)
 
 Q15_SHIFT = 15
 Q15_ONE = 1 << Q15_SHIFT
@@ -148,17 +155,25 @@ class BiquadIir(HardwareModule):
         self._last_output = 0
 
 
-class MovingAverage(HardwareModule):
-    """Sliding-window mean; window contents and index are state registers."""
+class _WindowFilter(HardwareModule):
+    """A sliding window of the last ``window`` samples: registers
+    ``w0..`` are the slots, ``widx`` the slot the next sample is written
+    to and ``wfill`` how many slots, from ``w0``, hold samples.
 
-    fixed_rate = True
+    Each sample is written to slot ``widx``, the fill grows by one until
+    the window is full, and the output is computed over slots
+    ``[0, wfill)``.  An index restored from a wider window (a swap from
+    another module) names no slot: that one sample is not kept, as a
+    register file drops a write to an unmapped address.  A restored fill
+    is clamped into ``[0, window]``.
+    """
 
     def __init__(
         self,
         name: str,
         window: int,
-        cycles_per_sample: int = 1,
-        monitor_interval: int = 0,
+        cycles_per_sample: int,
+        monitor_interval: int,
     ) -> None:
         super().__init__(name)
         if window <= 0:
@@ -171,24 +186,57 @@ class MovingAverage(HardwareModule):
         )
         self.on_reset()
 
+    def restore_state(self, words: Sequence[int]) -> None:
+        super().restore_state(words)
+        self.wfill = min(max(self.wfill, 0), self.window)
+
+    def on_reset(self) -> None:
+        for i in range(self.window):
+            setattr(self, f"w{i}", 0)
+        self.widx = 0
+        self.wfill = 0
+
+
+class MovingAverage(_WindowFilter):
+    """Sliding-window mean; window contents and index are state registers.
+
+    A running sum of slots ``[0, wfill)`` makes each sample O(1).  Once
+    the window is full, a block longer than the window is computed as
+    prefix sums over the window's samples and the block's: each output
+    is one difference of two prefix sums.
+    """
+
+    fixed_rate = True
+
+    def __init__(
+        self,
+        name: str,
+        window: int,
+        cycles_per_sample: int = 1,
+        monitor_interval: int = 0,
+    ) -> None:
+        super().__init__(name, window, cycles_per_sample, monitor_interval)
+
     def process_block(self, samples: Sequence[int]) -> List[int]:
-        hi, lo = INT32_MAX, INT32_MIN
         window = self.window
         names = self.state_register_names[:window]
         slots = [getattr(self, name) for name in names]
         widx, wfill, total = self.widx, self.wfill, self._wtotal
+        if wfill == window and 0 <= widx < window and len(samples) > window:
+            return self._steady_block(samples, slots, widx)
+        hi, lo = INT32_MAX, INT32_MIN
         out = []
         for sample in samples:
             x = ((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT
-            # running sum: subtract the slot being overwritten, add the new
-            # sample; identical to summing the filled window every sample
-            if wfill < window:
-                wfill += 1
-                total += x
-            else:
-                total += x - slots[widx]
-            if 0 <= widx < window:  # see MedianFilter.process_block
+            # running sum of slots [0, wfill): replace the slot written,
+            # then take in the slot the fill grows over
+            if 0 <= widx < window:
+                if widx < wfill:
+                    total += x - slots[widx]
                 slots[widx] = x
+            if wfill < window:
+                total += slots[wfill]
+                wfill += 1
             widx = (widx + 1) % window
             y = total // wfill
             out.append(hi if y > hi else lo if y < lo else y)
@@ -197,21 +245,45 @@ class MovingAverage(HardwareModule):
         self.widx, self.wfill, self._wtotal = widx, wfill, total
         return out
 
+    def _steady_block(
+        self, samples: Sequence[int], slots: List[int], widx: int
+    ) -> List[int]:
+        """A full window and a block longer than it: slot ``widx`` is the
+        oldest sample, so the window oldest-first ahead of the block is
+        the stream, and the mean after sample ``i`` is the sum of stream
+        entries ``i+1 .. i+window``.  A mean of 32-bit values needs no
+        clamp."""
+        window = self.window
+        stream = slots[widx:] + slots[:widx]
+        stream += from_u32_block(samples)
+        prefix = list(accumulate(stream, initial=0))
+        out = list(
+            map(
+                floordiv,
+                map(sub, prefix[window + 1 :], prefix[1:-window]),
+                repeat(window),
+            )
+        )
+        widx = (widx + len(samples)) % window
+        # the last ``window`` samples, the oldest in slot ``widx``
+        last = stream[-window:]
+        slots = last[window - widx :] + last[: window - widx]
+        for name, value in zip(self.state_register_names, slots):
+            setattr(self, name, value)
+        self.widx = widx
+        self._wtotal = prefix[-1] - prefix[-window - 1]
+        return out
+
     def restore_state(self, words: Sequence[int]) -> None:
         super().restore_state(words)
-        self._wtotal = sum(
-            getattr(self, f"w{i}") for i in range(self.wfill)
-        )
+        self._wtotal = sum(getattr(self, f"w{i}") for i in range(self.wfill))
 
     def on_reset(self) -> None:
-        for i in range(self.window):
-            setattr(self, f"w{i}", 0)
-        self.widx = 0
-        self.wfill = 0
+        super().on_reset()
         self._wtotal = 0
 
 
-class MedianFilter(HardwareModule):
+class MedianFilter(_WindowFilter):
     """Sliding-window median (odd windows give the exact middle sample)."""
 
     fixed_rate = True
@@ -223,21 +295,9 @@ class MedianFilter(HardwareModule):
         cycles_per_sample: int = 2,
         monitor_interval: int = 0,
     ) -> None:
-        super().__init__(name)
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.cycles_per_sample = cycles_per_sample
-        self.monitor_interval = monitor_interval
-        self.state_register_names = tuple(
-            [f"w{i}" for i in range(window)] + ["widx", "wfill"]
-        )
-        self.on_reset()
+        super().__init__(name, window, cycles_per_sample, monitor_interval)
 
     def process_block(self, samples: Sequence[int]) -> List[int]:
-        """An index restored from a wider window (a swap from another
-        module) names no slot: that one word is not kept, as a register
-        file drops a write to an unmapped address."""
         hi, lo = INT32_MAX, INT32_MIN
         window = self.window
         names = self.state_register_names[:window]
@@ -256,9 +316,3 @@ class MedianFilter(HardwareModule):
             setattr(self, name, value)
         self.widx, self.wfill = widx, wfill
         return out
-
-    def on_reset(self) -> None:
-        for i in range(self.window):
-            setattr(self, f"w{i}", 0)
-        self.widx = 0
-        self.wfill = 0

@@ -25,7 +25,7 @@ from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.comm.fsl import FslLink
 from repro.modules.base import EOS_WORD, ModulePorts
-from repro.modules.state import SIGN_BIT, WORD_MASK, from_u32, to_u32
+from repro.modules.state import WORD_MASK, from_u32, from_u32_block, to_u32
 from repro.sim.clock import ClockedComponent
 from repro.sim.fastpath import Replay, Stage
 
@@ -180,10 +180,7 @@ class Iom(ClockedComponent):
         words = replay.take(self.ports.consumers[0].fifo)
         if not words:
             return
-        # from_u32 without a call per word
-        self.received.extend(
-            [((word + SIGN_BIT) & WORD_MASK) - SIGN_BIT for word in words]
-        )
+        self.received.extend(from_u32_block(words))
         if self.sim is not None:
             _stamp(self.receive_times, len(words) // replay.periods, replay)
 

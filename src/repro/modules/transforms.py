@@ -19,6 +19,7 @@ from repro.modules.state import (
     SIGN_BIT,
     WORD_MASK,
     from_u32,
+    from_u32_block,
     to_u32,
 )
 
@@ -29,7 +30,7 @@ class PassThrough(HardwareModule):
     fixed_rate = True
 
     def process_block(self, samples: Sequence[int]) -> List[int]:
-        return [((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT for sample in samples]
+        return from_u32_block(samples)
 
 
 class Scaler(HardwareModule):
@@ -185,7 +186,7 @@ class Crc32(HardwareModule):
         data = struct.pack(f"<{len(words)}I", *words)
         # state restore decodes registers as signed; CRC math is unsigned
         self.crc = zlib.crc32(data, to_u32(self.crc) ^ WORD_MASK) ^ WORD_MASK
-        return [((word + SIGN_BIT) & WORD_MASK) - SIGN_BIT for word in words]
+        return from_u32_block(words)
 
     def monitor_value(self) -> int:
         return self.crc
@@ -206,7 +207,7 @@ class MinMaxTracker(HardwareModule):
         self.on_reset()
 
     def process_block(self, samples: Sequence[int]) -> List[int]:
-        out = [((sample + SIGN_BIT) & WORD_MASK) - SIGN_BIT for sample in samples]
+        out = from_u32_block(samples)
         if out:
             self.seen_min = min(self.seen_min, min(out))
             self.seen_max = max(self.seen_max, max(out))

@@ -1,9 +1,13 @@
 """Unit tests for wire encoding helpers."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.modules.state import (
     INT32_MAX,
     INT32_MIN,
     from_u32,
+    from_u32_block,
     saturate32,
     to_u32,
 )
@@ -33,3 +37,18 @@ def test_saturate():
     assert saturate32(INT32_MAX + 5) == INT32_MAX
     assert saturate32(INT32_MIN - 5) == INT32_MIN
     assert saturate32(123) == 123
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF]),
+            st.integers(-(2**40), 2**40),
+        )
+    )
+)
+def test_from_u32_block_is_from_u32_per_word(words):
+    """The C reinterpretation for FIFO words, the arithmetic for any other
+    int: the same values either way."""
+    assert from_u32_block(words) == [from_u32(word) for word in words]

@@ -5,8 +5,10 @@ in one ``process_block`` call.  For every fixed-rate module of the
 library -- found by walking ``repro.modules``, not from a list kept here
 -- any split of a word stream into blocks must give the outputs and the
 final state registers of a per-word ``process`` run over the same words,
-from any restored state.  A subclass that overrides ``process`` alone
-must get the per-word block default, never its parent's block method.
+from any restored state -- a window index or fill out of range included.
+A checkpoint at any word boundary must not change the stream.  A
+subclass that overrides ``process`` alone must get the per-word block
+default, never its parent's block method.
 
 Tier-1 runs the default example count; ``--hypothesis-profile=nightly``
 (registered in ``tests/conftest.py``) raises it.
@@ -15,13 +17,14 @@ Tier-1 runs the default example count; ``--hypothesis-profile=nightly``
 import importlib
 import inspect
 import pkgutil
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.modules
-from repro.modules import HardwareModule, MovingAverage
+from repro.modules import HardwareModule, MedianFilter, MovingAverage
 from repro.modules.sources import sine_wave
 from repro.modules.state import to_u32
 
@@ -62,9 +65,9 @@ PARAMETERS = {
     "cycles_per_sample": st.integers(1, 3),
 }
 
-#: registers whose value must index the window: any other register may
-#: hold any word
-WINDOW_INDEX = {"widx": 0, "wfill": 1}
+#: registers that index the window: drawn near its bounds as well as
+#: anywhere, so both in-range and out-of-range values occur
+WINDOW_INDEX = ("widx", "wfill")
 
 word_st = st.one_of(
     st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF]),
@@ -74,7 +77,8 @@ word_st = st.one_of(
 
 @st.composite
 def constructed(draw, cls):
-    """``cls`` built with drawn arguments, and a twin built alike."""
+    """A builder of ``cls`` with drawn arguments: every module it builds
+    is a twin of the others."""
     kwargs = {}
     for name, param in inspect.signature(cls).parameters.items():
         if name == "name" or param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
@@ -85,20 +89,30 @@ def constructed(draw, cls):
             assert param.default is not param.empty, (
                 f"{cls.__name__}: no strategy for parameter {name!r}"
             )
-    return cls("a", **kwargs), cls("b", **kwargs)
+    return lambda name: cls(name, **kwargs)
 
 
 @st.composite
 def restored_state(draw, module):
-    """Random words for every state register, the window's index and
-    fill reduced into range."""
+    """Random words for every state register; the window's index and
+    fill are not reduced into range."""
     words = []
     for register in module.state_register_names:
-        word = draw(word_st)
         if register in WINDOW_INDEX:
-            word %= module.window + WINDOW_INDEX[register]
-        words.append(word)
+            near = st.integers(-1, module.window + 1).map(to_u32)
+            words.append(draw(st.one_of(near, word_st)))
+        else:
+            words.append(draw(word_st))
     return words
+
+
+@st.composite
+def stream(draw):
+    """Words and sorted cut points; few cuts, so blocks are often longer
+    than twice the widest window."""
+    words = draw(st.lists(word_st, max_size=80))
+    cuts = sorted(draw(st.lists(st.integers(0, len(words)), max_size=4)))
+    return words, cuts
 
 
 def test_enumeration_finds_the_library():
@@ -115,13 +129,13 @@ def test_enumeration_finds_the_library():
 @given(data=st.data())
 @settings(deadline=None)
 def test_blocks_equal_per_word_process(cls, data):
-    per_word, blocked = data.draw(constructed(cls))
+    build = data.draw(constructed(cls))
+    per_word, blocked = build("a"), build("b")
     if data.draw(st.booleans()):
         state = data.draw(restored_state(per_word))
         per_word.restore_state(state)
         blocked.restore_state(state)
-    words = data.draw(st.lists(word_st, max_size=60))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(words)), max_size=6)))
+    words, cuts = data.draw(stream())
 
     expected = [per_word.process(word) for word in words]
     got = []
@@ -133,6 +147,61 @@ def test_blocks_equal_per_word_process(cls, data):
     assert blocked.save_state() == per_word.save_state()
     if words:
         assert to_u32(blocked.monitor_value()) == to_u32(per_word.monitor_value())
+
+
+@pytest.mark.parametrize("cls", MODULES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(deadline=None)
+def test_checkpoint_is_transparent(cls, data):
+    """Saving the state registers at a word boundary and restoring them
+    into a fresh twin continues the stream exactly."""
+    build = data.draw(constructed(cls))
+    straight, checkpointed = build("a"), build("b")
+    if data.draw(st.booleans()):
+        state = data.draw(restored_state(straight))
+        straight.restore_state(state)
+        checkpointed.restore_state(state)
+    words, cuts = data.draw(stream())
+    at = data.draw(st.integers(0, len(words)))
+
+    expected = straight.process_block(words)
+    got = checkpointed.process_block(words[:at])
+    resumed = build("c")
+    resumed.restore_state(checkpointed.save_state())
+    got += resumed.process_block(words[at:])
+
+    assert got == expected
+    assert resumed.save_state() == straight.save_state()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        [1, 2, 3, 3, 3],  # index past the window, window full
+        [1, 2, 3, 0, 4],  # fill past the window
+        [1, 2, 3, 0xFFFFFFFF, 3],  # index -1
+        [1, 2, 3, 0xFFFFFFFF, 0xFFFFFFFF],  # fill -1
+    ],
+)
+@pytest.mark.parametrize("cls", [MovingAverage, MedianFilter])
+def test_window_registers_out_of_range(cls, state):
+    """A window index outside the window names no slot; a fill outside
+    it is clamped.  The output is over the filled slots."""
+    module = cls("m", window=3)
+    module.restore_state(state)
+    assert 0 <= module.wfill <= 3
+    slots = [module.w0, module.w1, module.w2]
+    if 0 <= module.widx < 3:
+        slots[module.widx] = 5
+    filled = slots[: min(module.wfill + 1, 3)]
+    if cls is MovingAverage:
+        expected = sum(filled) // len(filled)
+    else:
+        expected = int(statistics.median(filled))
+
+    assert module.process_block([5]) == [expected]
+    assert [module.w0, module.w1, module.w2] == slots
+    assert 0 <= module.widx < 3
 
 
 class Offset(MovingAverage):
