@@ -318,7 +318,6 @@ def _serve_listen(args: argparse.Namespace, jobfile, config) -> int:
             overcommit=args.overcommit,
             use_processes=not args.inline,
             snapshot_every_quanta=args.snapshot_every,
-            compaction=config.compaction,
         )
         server = PoolServer(pool, host, port, obs_dir=args.obs_dir)
         await server.start()
@@ -363,6 +362,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # under fail-fast a worker stops serving after one failed
             # job, which would disable a device for the server's lifetime
             print("serve: --fail-fast applies to batch runs only, "
+                  "not to --listen", file=sys.stderr)
+            return 2
+        if args.compaction == "on":
+            # every pool job runs alone on its worker's system, so
+            # there is never a resident module to relocate
+            print("serve: --compaction on applies to batch runs only, "
                   "not to --listen", file=sys.stderr)
             return 2
         return _serve_listen(args, jobfile, config)
@@ -901,9 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--compaction", choices=("off", "on"),
         help="override the jobfile's live-PRR-compaction policy: 'on' "
-             "relocates resident modules (zero-loss Figure-5 switches; "
-             "ledger repacks with --listen) when a queued job is "
-             "blocked by fragmentation rather than capacity",
+             "relocates resident modules (zero-loss Figure-5 switches) "
+             "when a queued job is blocked by fragmentation rather than "
+             "capacity; batch runs only, not --listen",
     )
     serve.add_argument(
         "--listen", metavar="HOST:PORT",

@@ -217,7 +217,7 @@ _DEFAULT_HELP: Dict[str, str] = {
     "repro_icap_transfers_total": "Completed ICAP bitstream transfers",
     "repro_lane_utilization": "Fraction of RSB lane segments in use",
     "repro_pool_admission_wait_seconds": (
-        "Submission to physical-PRR binding latency per tenant"
+        "Submission to dispatch latency per tenant"
     ),
     "repro_pool_device_queue_depth": "Jobs queued per pooled device",
     "repro_pool_exec_seconds": (

@@ -172,8 +172,7 @@ def describe_realtime_metrics(registry: "MetricsRegistry") -> None:
 def describe_compaction_metrics(registry: "MetricsRegistry") -> None:
     """Attach HELP text for the live-compaction metric families.
 
-    Emitted by executors (Figure-5 live relocations) and by pooled
-    devices (ledger repacking); pool registries label per device.
+    Emitted by executors (Figure-5 live relocations).
     """
     registry.describe(
         "repro_compaction_runs_total",

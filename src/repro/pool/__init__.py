@@ -6,10 +6,11 @@ containers across hosts, in three layers:
 * **virtualization** (:mod:`~repro.pool.devices`,
   :mod:`~repro.pool.scheduler`) -- jobs request *virtual PRRs* that a
   deterministic scheduler grants against an overcommitted per-device
-  ceiling and each device's admission controller later binds (never
-  overcommitted) to physical PRRs; queue skew is levelled by work
-  stealing, and device loss drains bound work while requeueing the
-  rest;
+  ceiling; a device's next queued job is dispatched, with the device's
+  quarantined PRRs, only when its worker is idle, and the worker's own
+  admission controller places the stages.  Queue skew is levelled by
+  work stealing, and device loss drains the running job while
+  requeueing the rest;
 * **front door** (:mod:`~repro.pool.server`,
   :mod:`~repro.pool.client`) -- a stdlib-asyncio NDJSON-over-HTTP
   endpoint (``python -m repro serve --listen``) for streaming
@@ -27,7 +28,7 @@ per-device flight recorders dumped on loss/quarantine).
 
 Placement never changes results: every job runs single-tenant with a
 name-derived seed, so a pool run is bit-identical to a single-device
-run of the same jobs.
+run of the same jobs under the same quarantine set.
 """
 
 from repro.pool.batch import run_batch
@@ -47,8 +48,6 @@ from repro.pool.devices import (
     PoolError,
     PoolJob,
     PooledDevice,
-    VirtualPRR,
-    drain_requeue_on_loss,
 )
 from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
 from repro.pool.server import PoolServer
@@ -64,9 +63,7 @@ __all__ = [
     "PoolServer",
     "PooledDevice",
     "StealMove",
-    "VirtualPRR",
     "WorkerBridge",
-    "drain_requeue_on_loss",
     "get_json",
     "post_json",
     "request_shutdown",

@@ -7,11 +7,15 @@ owns one **device worker** -- a ``multiprocessing`` process (or a plain
 thread with ``use_processes=False``, for tests and single-core hosts)
 that pulls dispatched jobs off an inbox queue via
 :class:`~repro.runtime.jobs.QueueJobSource` and runs each single-tenant
-on a fresh :class:`~repro.runtime.executor.JobExecutor`.  A job's
-results depend only on its own spec and name-derived seed, never on
-which worker ran it.  Under ``config.fail_fast`` a worker whose job
-ends FAILED or EVICTED runs nothing more: every later job it receives
-comes back FAILED ("aborted by fail-fast ...") without running.
+on a fresh :class:`~repro.runtime.executor.JobExecutor`.  Each dispatch
+carries the device's quarantined PRRs; the worker retires them in the
+executor's admission controller before the run, so no stage is placed
+on one, and a job they leave no room for is rejected at admission.  A
+job's results depend only on its own spec, its name-derived seed and
+that quarantine set, never on which worker ran it.  Under
+``config.fail_fast`` a worker whose job ends FAILED or EVICTED runs
+nothing more: every later job it receives comes back FAILED ("aborted
+by fail-fast ...") without running.
 
 Worker processes share one **outbox**; a single daemon pump thread
 blocks in ``outbox.get()`` and posts each event into the loop with
@@ -74,7 +78,7 @@ def _device_worker(
     from repro.runtime.executor import JobExecutor
 
     aborted_by: Optional[str] = None
-    for job_id, spec, ctx in QueueJobSource(inbox):
+    for job_id, spec, ctx, quarantined in QueueJobSource(inbox):
         if aborted_by is not None:
             outbox.put((
                 "finished", worker_id, job_id,
@@ -84,6 +88,8 @@ def _device_worker(
         outbox.put(("started", worker_id, job_id, time.monotonic()))
         try:
             executor = JobExecutor(params=params, config=config)
+            for prr in quarantined:
+                executor.admission.quarantine(prr)
             executor.trace_context = ctx
             executor.on_first_sample = (
                 lambda job, _id=job_id: outbox.put(
@@ -213,9 +219,13 @@ class WorkerBridge:
             )
             self._pump_thread.start()
 
-    def submit(self, worker_id: int, job_id: int, spec, ctx=None) -> None:
-        """Dispatch one bound job (plus trace context) to its worker."""
-        self._inboxes[worker_id].put((job_id, spec, ctx))
+    def submit(
+        self, worker_id: int, job_id: int, spec, ctx=None,
+        quarantined: Tuple[str, ...] = (),
+    ) -> None:
+        """Dispatch one job (plus trace context and the device's
+        quarantined PRRs) to its worker."""
+        self._inboxes[worker_id].put((job_id, spec, ctx, quarantined))
 
     def _pump_main(self) -> None:
         while True:

@@ -4,29 +4,33 @@ A :class:`DevicePool` serves stream jobs across N simulated devices the
 way a cluster scheduler serves containers across hosts.  Jobs ask for
 **virtual PRRs** (one per chain stage); the pool *grants* vPRRs against
 an overcommitted ceiling (``floor(overcommit x healthy physical PRRs)``
-per device, decided by :class:`~repro.pool.scheduler.PoolScheduler`)
-and later *binds* them to physical PRRs through the device's own
-:class:`~repro.runtime.admission.AdmissionController` -- which is never
-overcommitted, so two live vPRRs can never share a physical PRR.
+per device, decided by :class:`~repro.pool.scheduler.PoolScheduler`).
+Grants are the pool's capacity and overcommit accounting, nothing more:
+the pool never assigns physical PRRs.  A device's worker runs one job at
+a time, so the pool dispatches a device's next queued job only when that
+worker is idle, together with the device's quarantined-PRR set; the
+worker's own :class:`~repro.runtime.admission.AdmissionController` then
+admits the job and places its stages on healthy PRRs.
 
 Lifecycle of one job::
 
     submitted -> placed (vPRRs granted on a device, queued)
-              -> bound  (vPRRs bound to physical PRRs, dispatched)
+              -> bound  (dispatched to the device's idle worker)
               -> running -> done | failed
 
-Queued-but-unbound jobs are fair game for **work stealing** (rebalance
-when queue depths skew) and are **requeued** when their device is lost;
-bound jobs drain gracefully on their worker either way.  Device loss
-plugs into the ``repro.faults`` quarantine signal: quarantining every
-PRR marks the device lost, and a scrub-verified recovery releases the
-quarantine and rejoins the device.
+Every queued job is fair game for **work stealing** (rebalance when
+queue depths skew) and is **requeued** when its device is lost; the one
+dispatched job drains on its worker either way.  Device loss plugs into
+the ``repro.faults`` quarantine signal: quarantining every PRR marks the
+device lost, and a scrub-verified recovery releases the quarantine and
+rejoins the device.
 
 The pool itself is a single-threaded asyncio object: every method must
 be called from the event loop.  Simulation happens off-loop in device
 workers (:mod:`repro.pool.bridge`); each job runs single-tenant with a
 name-derived seed, so placement, stealing and device loss can never
-change a job's results -- only *when* and *where* they are computed.
+change a job's results -- only *when* and *where* they are computed --
+for the same quarantine set.
 
 The pool also carries the **live observability plane**
 (:mod:`repro.obs.live`): every job gets a deterministic ``trace_id``,
@@ -46,7 +50,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.params import SystemParameters
 from repro.obs.live import (
@@ -59,28 +63,17 @@ from repro.obs.live import (
     tag_events,
     trace_id_for,
 )
-from repro.obs.metrics import MetricsRegistry, describe_compaction_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanEvent, Tracer
 from repro.pool.bridge import WorkerBridge
 from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
-from repro.runtime.admission import AdmissionController, AdmissionDecision
 from repro.runtime.executor import ExecutorConfig
-from repro.runtime.jobs import Job, StreamJob
+from repro.runtime.jobs import StreamJob
 from repro.runtime.telemetry import FleetReport, JobReport
 
 
 class PoolError(Exception):
     """Raised on illegal pool operations (duplicate names, draining...)."""
-
-
-@dataclass
-class VirtualPRR:
-    """One granted virtual PRR; ``physical`` is set only while bound."""
-
-    vid: int
-    job_id: int
-    device_id: int
-    physical: Optional[str] = None
 
 
 #: pool-level job states (coarser than the runtime state machine; the
@@ -109,7 +102,6 @@ class PoolJob:
     submitted_t: float
     state: str = SUBMITTED
     device_id: Optional[int] = None
-    vprrs: List[VirtualPRR] = field(default_factory=list)
     #: the worker's one-job run: the JobReport plus simulated totals
     run: Optional[FleetReport] = None
     failure_reason: str = ""
@@ -125,13 +117,16 @@ class PoolJob:
     running_t: Optional[float] = None
     #: the device-side span shard (trace_id-tagged) from the final snapshot
     span_shard: List[SpanEvent] = field(default_factory=list)
-    #: admission-ledger incarnation on the current device
-    runtime: Optional[Job] = None
     done: asyncio.Event = field(default_factory=asyncio.Event)
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL
+
+    @property
+    def width(self) -> int:
+        """vPRRs the job is granted: one per chain stage."""
+        return len(self.spec.stages)
 
     @property
     def report(self) -> Optional[JobReport]:
@@ -146,9 +141,7 @@ class PoolJob:
             "trace_id": self.trace_id,
             "state": self.state,
             "device": self.device_id,
-            "vprrs": [
-                {"vid": v.vid, "physical": v.physical} for v in self.vprrs
-            ],
+            "vprrs": self.width,
             "steals": self.steals,
             "requeues": self.requeues,
         }
@@ -160,10 +153,10 @@ class PoolJob:
 class PooledDevice:
     """One simulated VAPRES device inside the pool.
 
-    Owns the admission controller that does the physical vPRR->PRR
-    binding (preemption off: pool jobs run single-tenant on workers, so
-    there is nothing resident to evict) and the device-local queue of
-    placed-but-unbound jobs.
+    The pool's whole model of a device: its PRR names and the quarantined
+    ones (which size the grant ceiling), the queue of placed jobs, and
+    the one job dispatched to its worker.  Which PRRs a job's stages
+    occupy is decided only by the worker's own admission controller.
     """
 
     def __init__(
@@ -171,35 +164,26 @@ class PooledDevice:
         device_id: int,
         params: SystemParameters,
         scheduler: PoolScheduler,
-        metrics: Optional[MetricsRegistry] = None,
-        compaction: str = "off",
     ) -> None:
         self.device_id = device_id
         self.scheduler = scheduler
-        self.compaction = compaction
-        self.metrics = metrics
-        self.admission = AdmissionController(params, allow_preemption=False)
-        if metrics is not None:
-            self.admission.bind_metrics(
-                metrics, labels={"device": str(device_id)}
-            )
+        #: PRR slot names, as the worker's admission controller names them
+        self.prr_names: List[str] = sorted(
+            f"{rsb.name}.prr{i}"
+            for rsb in params.rsbs
+            for i in range(rsb.num_prrs)
+        )
+        self.quarantined: Set[str] = set()
         self.queue: List[PoolJob] = []
-        self.live: Dict[int, PoolJob] = {}
+        #: the job dispatched to the worker, which runs one at a time
+        self.running: Optional[PoolJob] = None
         self.lost = False
         self.lost_reason = ""
-        self.compaction_moves = 0
-        self._compaction_futile_token: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
-    def physical_prrs(self) -> List[str]:
-        return self.admission.prr_names
-
-    @property
     def healthy_prrs(self) -> int:
-        return len(self.admission.prr_names) - len(
-            self.admission.quarantined_prrs
-        )
+        return len(self.prr_names) - len(self.quarantined)
 
     @property
     def vprr_capacity(self) -> int:
@@ -207,9 +191,10 @@ class PooledDevice:
 
     @property
     def vprr_granted(self) -> int:
-        queued = sum(len(job.vprrs) for job in self.queue)
-        live = sum(len(job.vprrs) for job in self.live.values())
-        return queued + live
+        granted = sum(job.width for job in self.queue)
+        if self.running is not None:
+            granted += self.running.width
+        return granted
 
     def view(self) -> DeviceView:
         return DeviceView(
@@ -222,107 +207,27 @@ class PooledDevice:
         )
 
     # ------------------------------------------------------------------
-    def enqueue(self, job: PoolJob) -> str:
-        """Queue a placed job for binding; returns a reject reason or ''."""
-        result = self.admission.enqueue(job.runtime)
-        if result.decision is AdmissionDecision.REJECT:
-            return result.reason or "rejected by admission"
-        self.queue.append(job)
-        return ""
+    def dispatch_next(self) -> Optional[PoolJob]:
+        """Hand the next queued job to an idle worker, if there is one.
 
-    def withdraw(self, job: PoolJob) -> bool:
-        """Pull a still-unbound job back out (steal / device loss)."""
-        if job not in self.queue:
-            return False
-        self.admission.withdraw(job.runtime)
-        self.queue.remove(job)
-        return True
-
-    def next_binding(self) -> Optional[Tuple[PoolJob, List[str]]]:
-        """Bind the next queued job to physical PRRs, if any fits.
-
-        ``now_us=inf`` because pool binding is wall-clock driven --
-        arrival pacing (``arrival_us``) is honoured *inside* the worker
-        run, where simulated time exists.
+        The order is the one admission serves its queue in,
+        ``(-priority, arrival_us, id)``.  ``arrival_us`` is not waited
+        for here: the pool runs on wall-clock time, and arrival pacing
+        is honoured *inside* the worker run, where simulated time exists.
         """
-        pick = self.admission.next_decision(float("inf"), [])
-        if pick is None:
+        if self.lost or self.running is not None or not self.queue:
             return None
-        runtime, result = pick
-        assert result.assignment is not None
-        self.admission.occupy(runtime, result.assignment)
-        job = next(j for j in self.queue if j.id == runtime.index)
+        job = min(
+            self.queue,
+            key=lambda j: (-j.spec.priority, j.spec.arrival_us, j.id),
+        )
         self.queue.remove(job)
-        self.live[job.id] = job
-        return job, list(result.assignment.prrs)
+        self.running = job
+        return job
 
     def release(self, job: PoolJob) -> None:
-        self.live.pop(job.id, None)
-        if job.runtime is not None:
-            self.admission.release(job.runtime)
-
-    def maybe_compact(self) -> int:
-        """Repack this device's admission ledger when fragmentation --
-        and only fragmentation -- blocks a queued job.
-
-        Pool workers run each job single-tenant on a private simulated
-        system, so the vPRR->PRR binding recorded here is a ledger
-        fiction: relocating it moves no live module and loses no
-        samples by construction.  Returns the number of ledger moves.
-        """
-        if self.compaction != "on" or not self.queue:
-            return 0
-        blocked = next(
-            (
-                job for job in self.queue
-                if (reason := self.admission.classify_block(job.runtime))
-                is not None and reason.kind == "fragmentation"
-            ),
-            None,
-        )
-        if blocked is None:
-            return 0
-        resident = self.admission.resident_assignments()
-        token = tuple(sorted(
-            (name, tuple(a.prrs)) for name, a in resident.items()
-        ))
-        if token == self._compaction_futile_token:
-            return 0
-        from repro.compact.planner import (
-            plan_compaction,
-            view_from_admission,
-        )
-
-        views = view_from_admission(self.admission, movable=set(resident))
-        plan = plan_compaction(views)
-        if plan.empty:
-            self._compaction_futile_token = token
-            return 0
-        self._compaction_futile_token = None
-        by_name = {
-            job.spec.name: job for job in self.live.values()
-        }
-        done = 0
-        for move in plan.moves:
-            job = by_name.get(move.job)
-            if job is None or job.runtime is None:
-                break
-            self.admission.relocate(job.runtime, move.old_prr, move.new_prr)
-            for vprr in job.vprrs:
-                if vprr.physical == move.old_prr:
-                    vprr.physical = move.new_prr
-                    break
-            done += 1
-        self.compaction_moves += done
-        if self.metrics is not None and done:
-            labels = {"device": str(self.device_id)}
-            self.metrics.counter(
-                "repro_compaction_runs_total", labels
-            ).inc()
-            self.metrics.counter(
-                "repro_compaction_moves_total", labels
-            ).inc(done)
-        return done
+        if self.running is job:
+            self.running = None
 
 
 class DevicePool:
@@ -339,28 +244,20 @@ class DevicePool:
         clock: Callable[[], float] = time.monotonic,
         snapshot_every_quanta: int = 8,
         flight_capacity: int = FLIGHT_CAPACITY,
-        compaction: str = "off",
     ) -> None:
         if devices < 1:
             raise PoolError("a pool needs at least one device")
-        if compaction not in ("off", "on"):
-            raise PoolError(
-                f"compaction must be 'off' or 'on', got {compaction!r}"
-            )
         self.params = (
             params if params is not None else SystemParameters.prototype()
         )
         self.config = config if config is not None else ExecutorConfig()
-        self.compaction = compaction
         self.clock = clock
         self.scheduler = PoolScheduler(
             overcommit=overcommit, steal_threshold=steal_threshold
         )
         self.metrics = MetricsRegistry()
-        describe_compaction_metrics(self.metrics)
         self.devices = [
-            PooledDevice(i, self.params, self.scheduler,
-                         metrics=self.metrics, compaction=compaction)
+            PooledDevice(i, self.params, self.scheduler)
             for i in range(devices)
         ]
         self.bridge = WorkerBridge(
@@ -391,7 +288,6 @@ class DevicePool:
         self._active_names: set = set()
         self._subscribers: List[asyncio.Queue] = []
         self._next_id = 0
-        self._next_vid = 0
         self._started = False
         self._draining = False
         self.steals_total = 0
@@ -448,29 +344,15 @@ class DevicePool:
             trace_id=trace_id_for(spec.name),
         )
         self._next_id += 1
-        job.runtime = Job(spec, index=job.id)
         self._jobs[job.id] = job
         self._active_names.add(spec.name)
-        need = len(spec.stages)
-        widest = max(
-            (len(d.physical_prrs) for d in self.devices if not d.lost),
-            default=0,
-        )
-        if need > widest:
-            self._emit("submitted", job)
-            self._fail(
-                job,
-                f"needs {need} PRRs but the widest healthy device has "
-                f"{widest}",
-            )
-            return job
         self._pending.append(job)
         self._emit("submitted", job)
         self._schedule()
         return job
 
     # ------------------------------------------------------------------
-    # scheduling core (placement -> steals -> binding)
+    # scheduling core (placement -> steals -> dispatch)
     # ------------------------------------------------------------------
     def _views(self) -> List[DeviceView]:
         return [device.view() for device in self.devices]
@@ -489,97 +371,66 @@ class DevicePool:
         return (1, 0.0, job.id)
 
     def _schedule(self) -> None:
+        # 0. fail pool-pending jobs no healthy device can host: a
+        #    quarantine may have narrowed the pool since they arrived
+        widest = max(
+            (d.healthy_prrs for d in self.devices if not d.lost), default=0
+        )
+        for job in [j for j in self._pending if j.width > widest]:
+            self._pending.remove(job)
+            self._fail(
+                job,
+                f"needs {job.width} PRRs but the widest healthy device "
+                f"has {widest}",
+            )
         # 1. place pool-pending jobs, most-urgent-first with
         #    head-of-line blocking (keeps dispatch order meaningful;
         #    steals level the rest)
         while self._pending:
             job = min(self._pending, key=self._dispatch_key)
-            target = self.scheduler.place(
-                len(job.spec.stages), self._views()
-            )
+            target = self.scheduler.place(job.width, self._views())
             if target is None:
                 break
             self._pending.remove(job)
-            self._place_on(job, self.devices[target])
-        # 2. rebalance queued-unbound jobs across devices
+            self.devices[target].queue.append(job)
+            job.device_id = target
+            job.state = PLACED
+            self._emit("placed", job)
+        # 2. rebalance queued jobs across devices
         for move in self.scheduler.plan_steals(self._views()):
             self._execute_steal(move)
-        # 3. bind queued jobs to physical PRRs and dispatch to workers
+        # 3. dispatch to idle workers, each with its device's quarantine
         for device in self.devices:
-            if device.lost:
+            job = device.dispatch_next()
+            if job is None:
                 continue
-            compacted = False
-            while True:
-                binding = device.next_binding()
-                if binding is None:
-                    # fragmentation-blocked queue head: one ledger
-                    # repack per device per scheduling round
-                    if not compacted and device.maybe_compact():
-                        compacted = True
-                        continue
-                    break
-                job, prrs = binding
-                for vprr, prr in zip(job.vprrs, prrs):
-                    vprr.physical = prr
-                job.state = BOUND
-                self._emit("bound", job)
-                self.bridge.submit(
-                    device.device_id, job.id, job.spec,
-                    TraceContext(
-                        trace_id=job.trace_id,
-                        tenant=job.tenant,
-                        parent="pool/admission",
-                    ),
-                )
-        self._refresh_gauges()
-
-    def _place_on(self, job: PoolJob, device: PooledDevice) -> None:
-        job.vprrs = [
-            VirtualPRR(
-                vid=self._next_vid + i,
-                job_id=job.id,
-                device_id=device.device_id,
+            job.state = BOUND
+            self._emit("bound", job)
+            self.bridge.submit(
+                device.device_id, job.id, job.spec,
+                TraceContext(
+                    trace_id=job.trace_id,
+                    tenant=job.tenant,
+                    parent="pool/admission",
+                ),
+                tuple(sorted(device.quarantined)),
             )
-            for i in range(len(job.spec.stages))
-        ]
-        self._next_vid += len(job.vprrs)
-        reason = device.enqueue(job)
-        if reason:
-            job.vprrs = []
-            self._fail(job, f"rejected by device {device.device_id}: {reason}")
-            return
-        job.device_id = device.device_id
-        job.state = PLACED
-        self._emit("placed", job)
+        self._refresh_gauges()
 
     def _execute_steal(self, move: StealMove) -> None:
         source = self.devices[move.source]
         target = self.devices[move.target]
-        victim: Optional[PoolJob] = None
+        room = min(target.view().vprr_free, target.healthy_prrs)
         # newest queued job that fits the receiver, so the head of the
-        # donor's queue (closest to binding) keeps its place
-        for job in reversed(source.queue):
-            width = len(job.vprrs)
-            if width <= target.view().vprr_free and width <= len(
-                target.physical_prrs
-            ):
-                victim = job
-                break
+        # donor's queue (next to dispatch) keeps its place
+        victim = next(
+            (job for job in reversed(source.queue) if job.width <= room),
+            None,
+        )
         if victim is None:
             return
-        if not source.withdraw(victim):
-            return
-        for vprr in victim.vprrs:
-            vprr.device_id = target.device_id
-            vprr.physical = None
-        reason = target.enqueue(victim)
-        if reason:
-            victim.vprrs = []
-            self._fail(
-                victim,
-                f"steal to device {target.device_id} rejected: {reason}",
-            )
-            return
+        source.queue.remove(victim)
+        target.queue.append(victim)
         victim.device_id = target.device_id
         victim.steals += 1
         self.steals_total += 1
@@ -663,8 +514,6 @@ class DevicePool:
     def _release(self, job: PoolJob) -> None:
         if job.device_id is not None:
             self.devices[job.device_id].release(job)
-        for vprr in job.vprrs:
-            vprr.physical = None
 
     def _fail(self, job: PoolJob, reason: str) -> None:
         job.state = FAILED
@@ -684,13 +533,16 @@ class DevicePool:
     def quarantine_prr(self, device_id: int, prr: str) -> None:
         """Apply a ``repro.faults`` quarantine signal to one device.
 
-        Queued jobs stay queued (the admission controller simply stops
-        binding onto the retired PRR); live jobs drain on their worker.
-        When the last healthy PRR goes, the device is lost and its
-        queue is requeued onto the rest of the pool.
+        Queued jobs stay queued: each is dispatched with the device's
+        quarantined set, so its worker never places a stage on the
+        retired PRR (and rejects a job the quarantine leaves no room
+        for).  The running job drains on its worker.  When the last
+        healthy PRR goes, the device is lost and its queue is requeued
+        onto the rest of the pool.  Unknown PRR names change nothing.
         """
         device = self.devices[device_id]
-        device.admission.quarantine(prr)
+        if prr in device.prr_names:
+            device.quarantined.add(prr)
         self._emit_pool("quarantined", device=device_id, prr=prr)
         if device.healthy_prrs == 0 and not device.lost:
             self.mark_device_lost(device_id, reason="quarantine")
@@ -712,8 +564,9 @@ class DevicePool:
         if not scrub_verified:
             return False
         device = self.devices[device_id]
-        if not device.admission.release_quarantine(prr):
+        if prr not in device.quarantined:
             return False
+        device.quarantined.discard(prr)
         self._emit_pool("unquarantined", device=device_id, prr=prr)
         if (
             device.lost
@@ -727,7 +580,8 @@ class DevicePool:
         return True
 
     def mark_device_lost(self, device_id: int, reason: str = "lost") -> None:
-        """Graceful device loss: requeue queued work, drain bound work."""
+        """Graceful device loss: requeue queued work, drain the running
+        job."""
         device = self.devices[device_id]
         if device.lost:
             return
@@ -735,12 +589,10 @@ class DevicePool:
         device.lost_reason = reason
         self._emit_pool(
             "device_lost", device=device_id, reason=reason,
-            draining=len(device.live),
+            draining=int(device.running is not None),
         )
-        requeued = list(device.queue)
+        requeued, device.queue = device.queue, []
         for job in requeued:
-            device.withdraw(job)
-            job.vprrs = []
             job.device_id = None
             job.state = SUBMITTED
             job.requeues += 1
@@ -822,7 +674,7 @@ class DevicePool:
         """Map one pool lifecycle event onto the job's trace timeline.
 
         Every job owns one ``job/<name>/pool`` track: an ``admission``
-        span from submit to bind (placements, steals and requeues are
+        span from submit to dispatch (placements, steals and requeues are
         instants inside it) followed by an ``execute`` span covering
         the worker run.  Failures close whatever is open.
         """
@@ -956,7 +808,7 @@ class DevicePool:
         return sum(1 for job in self._jobs.values() if not job.terminal)
 
     def tenant_queue_depths(self) -> Dict[str, int]:
-        """Per-tenant jobs accepted but not yet bound to physical PRRs."""
+        """Per-tenant jobs accepted but not yet dispatched to a worker."""
         depths: Dict[str, int] = {}
         for job in self._jobs.values():
             if job.state in (SUBMITTED, PLACED):
@@ -983,10 +835,6 @@ class DevicePool:
             "pool_pending": len(self._pending),
             "steals": self.steals_total,
             "requeues": self.requeues_total,
-            "compaction": self.compaction,
-            "compaction_moves": sum(
-                d.compaction_moves for d in self.devices
-            ),
             "tenants": self.tenant_queue_depths(),
             "draining": self._draining,
             "live": {
@@ -1013,9 +861,6 @@ class DevicePool:
             "words_lost": words_lost,
             "steals": self.steals_total,
             "requeues": self.requeues_total,
-            "compaction_moves": sum(
-                d.compaction_moves for d in self.devices
-            ),
         }
 
     @property
@@ -1046,7 +891,7 @@ class DevicePool:
                 total_granted += view.vprr_granted
                 total_physical += view.physical_prrs
         # granted vPRRs per healthy physical PRR: 0 idle, 1.0 fully
-        # bound with no overbooking, up to `overcommit` when saturated
+        # granted with no overbooking, up to `overcommit` when saturated
         self.metrics.gauge("repro_pool_overcommit_pressure").set(
             total_granted / total_physical if total_physical else 0.0
         )
@@ -1059,15 +904,3 @@ class DevicePool:
                 "repro_pool_tenant_queue_depth", {"tenant": tenant}
             ).set(depth)
 
-
-def drain_requeue_on_loss(
-    pool: DevicePool, quarantines: Sequence[Tuple[int, str]]
-) -> None:
-    """Feed a batch of ``repro.faults`` quarantine signals into the pool.
-
-    Convenience for fault campaigns: each ``(device_id, prr)`` pair is
-    applied in order, with device loss and requeueing handled by the
-    pool exactly as if the signals had arrived live.
-    """
-    for device_id, prr in quarantines:
-        pool.quarantine_prr(device_id, prr)

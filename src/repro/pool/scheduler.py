@@ -2,7 +2,7 @@
 
 The scheduler sees devices only through the small read-only
 :class:`DeviceView` facts each :class:`~repro.pool.devices.PooledDevice`
-publishes -- vPRR capacity, vPRRs granted, queue depth, live bindings --
+publishes -- healthy PRRs, vPRR capacity, vPRRs granted, queue depth --
 so it can be unit- and property-tested without building a single
 simulator.
 
@@ -11,18 +11,17 @@ Two decisions live here:
 * **placement** -- which device a newly submitted job's vPRRs land on.
   A device may grant up to ``floor(overcommit x healthy_physical_prrs)``
   vPRRs, so more jobs are *admitted* (queued on the device) than can
-  *run* at once; the binding of vPRRs to physical PRRs -- the part with
-  the hard "never two live vPRRs on one physical PRR" invariant -- is
-  done by each device's own
-  :class:`~repro.runtime.admission.AdmissionController` and is never
+  *run* at once.  Grants are accounting only: the pool dispatches one
+  job at a time to a device's idle worker, and physical PRRs are
+  assigned only there, by the worker's own
+  :class:`~repro.runtime.admission.AdmissionController`, which is never
   overcommitted.
 * **rebalance** -- when queue depths skew (a device lost capacity to
-  quarantine, or placement raced a burst), queued-but-unbound jobs are
-  stolen from the deepest backlog into the emptiest device with spare
-  grant capacity.  Stealing moves only unbound vPRRs, so it can never
-  violate the binding invariant, and job *results* are unaffected:
-  every job runs single-tenant with a seed derived from its own name,
-  whichever device executes it.
+  quarantine, or placement raced a burst), queued jobs are stolen from
+  the deepest backlog into the emptiest device with spare grant
+  capacity.  Only queued (not yet dispatched) jobs move, and job
+  *results* are unaffected: every job runs single-tenant with a seed
+  derived from its own name, whichever device executes it.
 
 Both decisions are deterministic (stable tie-breaks on device id) so a
 given submission order always produces the same placement history.
@@ -43,9 +42,9 @@ class DeviceView:
     physical_prrs: int
     #: grant ceiling: floor(overcommit x physical_prrs)
     vprr_capacity: int
-    #: vPRRs currently granted (queued-unbound + live-bound)
+    #: vPRRs currently granted (queued + dispatched)
     vprr_granted: int
-    #: jobs queued on the device, not yet bound to physical PRRs
+    #: jobs queued on the device, not yet dispatched to its worker
     queue_depth: int
     #: a lost device accepts no new work and is drained
     lost: bool = False
@@ -57,7 +56,7 @@ class DeviceView:
 
 @dataclass(frozen=True)
 class StealMove:
-    """One planned migration of a queued job's unbound vPRRs."""
+    """One planned migration of a queued job's vPRR grant."""
 
     source: int
     target: int
@@ -97,8 +96,8 @@ class PoolScheduler:
         """Device to grant a new job's vPRRs on, or None (pool-queue it).
 
         Candidates must be healthy, have grant headroom for the whole
-        job, and -- so a job can eventually *bind* -- enough physical
-        PRRs to host all its stages at once.  Among candidates the most
+        job, and -- so the job can eventually *run* -- enough healthy
+        physical PRRs to host all its stages at once.  Among candidates the most
         headroom wins (spreads load); ties go to the lowest id
         (determinism).
         """

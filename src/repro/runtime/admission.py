@@ -223,7 +223,7 @@ class AdmissionController:
 
         Updated on every free-set mutation (occupy/release, fault,
         quarantine, reassign).  ``labels`` distinguishes controllers
-        sharing a registry (the pool labels per device).
+        sharing a registry.
         """
         registry.describe(
             "repro_prr_free_total",
@@ -319,9 +319,8 @@ class AdmissionController:
     def withdraw(self, job: Job) -> bool:
         """Remove a still-queued job from the wait queue.
 
-        Used by the device pool when a queued job is stolen by (or
-        requeued onto) another device.  Returns False when the job is
-        not waiting here -- already admitted, or never enqueued.
+        Returns False when the job is not waiting here -- already
+        admitted, or never enqueued.
         """
         try:
             self._pending.remove(job)

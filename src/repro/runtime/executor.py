@@ -465,7 +465,7 @@ class JobExecutor:
     # ------------------------------------------------------------------
     # live compaction (repro.compact)
     # ------------------------------------------------------------------
-    def _maybe_compact(self) -> bool:
+    def _compact_if_fragmented(self) -> bool:
         """Compact when -- and only when -- a job is fragmentation-blocked.
 
         Scans the wait queue for a job that is due *now* and that
@@ -661,7 +661,7 @@ class JobExecutor:
                 # by fragmentation (not capacity), one compaction pass
                 # may repack the residents and unblock it -- try once
                 # per admission round
-                if not compacted and self._maybe_compact():
+                if not compacted and self._compact_if_fragmented():
                     compacted = True
                     continue
                 return

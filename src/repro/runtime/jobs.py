@@ -204,6 +204,23 @@ class SourceSpec:
             )
         if self.count < 1:
             raise JobError("source count must be >= 1")
+        # a negative period is a mirrored wave, but a zero one divides
+        # by zero, and a negative noise amplitude is an empty range
+        if self.kind in ("sine", "noisy_sine") and self._int("period", 64) == 0:
+            raise JobError(f"{self.kind} source period must not be 0")
+        if self.kind == "noise" and self._int("amplitude", 1_000) < 0:
+            raise JobError("noise source amplitude must be >= 0")
+        if self.kind == "noisy_sine" and self._int("noise_amplitude", 500) < 0:
+            raise JobError("noisy_sine source noise_amplitude must be >= 0")
+
+    def _int(self, key: str, default: int) -> int:
+        try:
+            return int(self.params.get(key, default))
+        except (TypeError, ValueError):
+            raise JobError(
+                f"{self.kind} source {key} must be an integer, "
+                f"got {self.params[key]!r}"
+            ) from None
 
     def build(self, default_seed: int = 0) -> Iterator[int]:
         """Materialise the sample iterator.

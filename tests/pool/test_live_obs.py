@@ -94,13 +94,14 @@ def steal_scenario_trace():
     the constant clock zeroes every pool-side timestamp, so the
     stitched trace must come out byte-identical run over run.
 
-    Six jobs exactly: placement levels them 3/3, each device binds two
-    onto its two physical PRRs, leaving device 0 with precisely ONE
-    queued-unbound (stealable) job while its dispatches are held.  A
-    larger batch would leave several stealable jobs and the steal
-    *count* would race against the gate-opening poll below — the
-    logical history, not just the timestamps, must be deterministic for
-    the byte-equality assertion to hold.
+    Six jobs exactly: placement levels them 3/3 and each device
+    dispatches one to its worker, leaving two queued per device.  Device
+    1 works through its queue while device 0's dispatch is held; once
+    the skew reaches the steal threshold, precisely ONE job is stolen
+    and the queues are level again.  A larger batch would allow several
+    steals and the steal *count* would race against the gate-opening
+    poll below — the logical history, not just the timestamps, must be
+    deterministic for the byte-equality assertion to hold.
     """
     specs = [tiny_job(f"s{i}", count=6) for i in range(6)]
 
@@ -110,11 +111,11 @@ def steal_scenario_trace():
         held, gate_open = [], False
         real_submit = pool.bridge.submit
 
-        def gated_submit(worker_id, job_id, spec, ctx=None):
+        def gated_submit(worker_id, *dispatch):
             if worker_id == 0 and not gate_open:
-                held.append((worker_id, job_id, spec, ctx))
+                held.append((worker_id, *dispatch))
             else:
-                real_submit(worker_id, job_id, spec, ctx)
+                real_submit(worker_id, *dispatch)
 
         pool.bridge.submit = gated_submit
         jobs = [pool.submit(spec) for spec in specs]

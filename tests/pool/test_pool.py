@@ -91,25 +91,34 @@ def test_pool_results_match_single_device_and_fleet():
 
 def test_overcommit_grants_beyond_physical_but_binds_within():
     """With overcommit 2.0 a 2-PRR device holds 4 granted vPRRs, yet
-    at most 2 are ever bound (the admission ledger enforces it)."""
+    at most one job at a time is dispatched to its worker (whose own
+    admission places the stages)."""
     async def scenario():
         pool = make_pool(devices=1, overcommit=2.0)
         await pool.start()
-        for i in range(8):
-            pool.submit(tiny_job(f"oc{i}"))
+        sub = pool.subscribe()
+        jobs = [pool.submit(tiny_job(f"oc{i}")) for i in range(8)]
         device = pool.devices[0]
         assert device.vprr_capacity == 4
         assert device.vprr_granted <= 4
         assert len(pool._pending) == 8 - device.vprr_granted
-        bound = [
-            v.physical for job in device.live.values() for v in job.vprrs
-        ]
-        assert len(bound) <= 2 and len(bound) == len(set(bound))
+        dispatched = [j for j in jobs if j.state == "bound"]
+        assert dispatched == [device.running]
         await pool.drain()
         await pool.stop(drain=False)
-        return pool
-    pool = asyncio.run(scenario())
+        events = []
+        while not sub.empty():
+            events.append(sub.get_nowait())
+        return pool, events
+    pool, events = asyncio.run(scenario())
     assert pool.summary()["states"] == {"done": 8}
+    live = set()
+    for event in events:
+        if event["event"] == "bound":
+            live.add(event["job"])
+            assert len(live) == 1, f"two jobs dispatched at once: {live}"
+        elif event["event"] in ("done", "failed"):
+            live.discard(event["job"])
 
 
 def test_no_overcommit_with_ratio_one():
@@ -141,11 +150,11 @@ def test_work_stealing_rebalances_and_preserves_results():
         held, gate_open = [], False
         real_submit = pool.bridge.submit
 
-        def gated_submit(worker_id, job_id, spec, ctx=None):
+        def gated_submit(worker_id, *dispatch):
             if worker_id == 0 and not gate_open:
-                held.append((worker_id, job_id, spec, ctx))
+                held.append((worker_id, *dispatch))
             else:
-                real_submit(worker_id, job_id, spec, ctx)
+                real_submit(worker_id, *dispatch)
 
         pool.bridge.submit = gated_submit
         jobs = [pool.submit(spec) for spec in specs]
@@ -202,15 +211,15 @@ def test_quarantine_of_all_prrs_loses_device_and_recovery_rejoins():
         for i in range(8):
             pool.submit(tiny_job(f"q{i}", count=6))
         device = pool.devices[0]
-        for prr in device.physical_prrs:
+        for prr in device.prr_names:
             pool.quarantine_prr(0, prr)
         assert device.lost and device.lost_reason == "quarantine"
         # scrub-verified recovery: capacity returns, device rejoins
         assert not pool.release_quarantine(
-            0, device.physical_prrs[0], scrub_verified=False
+            0, device.prr_names[0], scrub_verified=False
         )
         assert device.lost
-        assert pool.release_quarantine(0, device.physical_prrs[0])
+        assert pool.release_quarantine(0, device.prr_names[0])
         assert not device.lost
         pool.submit(tiny_job("after-recovery", count=6))
         await pool.drain()
@@ -320,3 +329,76 @@ def test_pool_gauges_track_occupancy_and_tenants():
     assert occupancy > 0
     # settled back to idle after the drain
     assert pool.metrics.value("repro_pool_overcommit_pressure") == 0.0
+
+
+# ----------------------------------------------------------------------
+# quarantine narrows what a device can run; no job may wait forever
+# ----------------------------------------------------------------------
+#: a drain that outlives this has hung (these pools drain in well
+#: under a second)
+DRAIN_TIMEOUT_S = 20.0
+
+
+async def bounded_drain(pool):
+    await asyncio.wait_for(pool.drain(), timeout=DRAIN_TIMEOUT_S)
+    await pool.stop(drain=False)
+
+
+def test_quarantine_narrowed_pool_fails_too_wide_jobs():
+    """Width checks count healthy PRRs: a 2-stage job cannot run on a
+    device with one PRR quarantined, whether it was pool-pending when
+    the quarantine landed or submitted after it."""
+    async def scenario():
+        # overcommit 1.0: the first job holds every grant, so the
+        # second waits pool-pending
+        pool = make_pool(devices=1, overcommit=1.0)
+        await pool.start()
+        first = pool.submit(tiny_job("w0", stages=2))
+        waiting = pool.submit(tiny_job("w1", stages=2))
+        assert waiting.state == "submitted"
+        pool.quarantine_prr(0, "rsb0.prr1")
+        late = pool.submit(tiny_job("w2", stages=2))
+        await bounded_drain(pool)
+        return first, waiting, late
+    first, waiting, late = asyncio.run(scenario())
+    # dispatched before the quarantine: ran on the whole device
+    assert first.state == "done"
+    for job in (waiting, late):
+        assert job.state == "failed"
+        assert "widest healthy device has 1" in job.failure_reason
+
+
+def test_steal_skips_a_receiver_narrowed_by_quarantine():
+    """Device 1 has one healthy PRR, so no 2-stage job may be placed or
+    stolen onto it; the whole batch runs on device 0."""
+    async def scenario():
+        pool = make_pool(devices=2, overcommit=3.0)
+        await pool.start()
+        pool.quarantine_prr(1, "rsb0.prr1")
+        jobs = [pool.submit(tiny_job(f"w{i}", stages=2)) for i in range(4)]
+        await bounded_drain(pool)
+        return pool, jobs
+    pool, jobs = asyncio.run(scenario())
+    assert [job.state for job in jobs] == ["done"] * 4
+    assert all(job.device_id == 0 for job in jobs)
+    assert pool.steals_total == 0
+
+
+def test_pinned_job_fails_in_worker_once_its_prr_is_quarantined():
+    """A queued job pinned to a PRR that is then quarantined is
+    dispatched with the quarantine set, and the worker's admission
+    rejects it instead of leaving it queued forever."""
+    async def scenario():
+        pool = make_pool(devices=1)
+        await pool.start()
+        busy = pool.submit(tiny_job("busy", stages=2, count=400))
+        pinned = pool.submit(tiny_job("pinned", prrs=["rsb0.prr1"]))
+        assert pinned.state == "placed"
+        pool.quarantine_prr(0, "rsb0.prr1")
+        await bounded_drain(pool)
+        return busy, pinned
+    busy, pinned = asyncio.run(scenario())
+    assert busy.state == "done"
+    assert pinned.state == "failed"
+    assert pinned.failure_reason.startswith("rejected at admission:")
+    assert "'rsb0.prr1' is quarantined" in pinned.failure_reason

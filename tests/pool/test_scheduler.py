@@ -1,11 +1,11 @@
-"""Property tests for the pool scheduler and the binding invariant.
+"""Property tests for the pool scheduler and the dispatch invariant.
 
 The two contracts the virtualization layer stakes everything on:
 
 * **overcommit is a grant-side fiction** -- however many vPRRs are
-  granted, the *binding* of vPRRs to physical PRRs (done by each
-  device's admission controller) never puts two live vPRRs on one
-  physical PRR at the same instant;
+  granted, a device dispatches at most one job at a time to its
+  worker, whose own admission controller places the stages, so two
+  live vPRRs never share a physical PRR at the same instant;
 * **scheduling is deterministic** -- the same view sequence always
   yields the same placements and steal plans.
 """
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.params import SystemParameters
 from repro.pool.scheduler import DeviceView, PoolScheduler
-from repro.pool.devices import PooledDevice, PoolJob, VirtualPRR
-from repro.runtime.jobs import Job, StageSpec, StreamJob
+from repro.pool.devices import PooledDevice, PoolJob
+from repro.runtime.jobs import StageSpec, StreamJob
 
 PARAMS = SystemParameters.prototype()  # 2 physical PRRs per device
 
@@ -95,27 +95,32 @@ def test_plan_steals_levels_without_overflowing(data):
 
 
 # ----------------------------------------------------------------------
-# the binding invariant, against the real admission ledger
+# the dispatch invariant, against the real pooled device
 # ----------------------------------------------------------------------
-def _mk_pool_job(job_id, width, device_id):
+def _mk_pool_job(job_id, width, priority, arrival_us):
     spec = StreamJob(
         name=f"prop-{job_id}",
         stages=[StageSpec("passthrough") for _ in range(width)],
+        priority=priority,
+        arrival_us=arrival_us,
     )
-    job = PoolJob(id=job_id, spec=spec, tenant="prop", submitted_t=0.0)
-    job.runtime = Job(spec, index=job_id)
-    job.vprrs = [
-        VirtualPRR(vid=job_id * 10 + i, job_id=job_id, device_id=device_id)
-        for i in range(width)
-    ]
-    return job
+    return PoolJob(id=job_id, spec=spec, tenant="prop", submitted_t=0.0)
+
+
+def _admission_order(job):
+    return (-job.spec.priority, job.spec.arrival_us, job.id)
 
 
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("submit"), st.integers(1, 2)),   # width
-        st.tuples(st.just("bind"), st.just(0)),
-        st.tuples(st.just("finish"), st.integers(0, 10)),  # live pick
+        st.tuples(
+            st.just("submit"),
+            st.integers(1, 2),                   # width
+            st.integers(0, 2),                   # priority
+            st.sampled_from([0.0, 5.0, 10.0]),   # arrival_us
+        ),
+        st.tuples(st.just("dispatch")),
+        st.tuples(st.just("finish")),
     ),
     min_size=1, max_size=40,
 )
@@ -124,41 +129,40 @@ ops = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(ops, st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_no_two_live_vprrs_share_a_physical_prr(sequence, overcommit):
-    """Drive one device through grant/bind/finish; at every instant the
-    physically-bound vPRRs must map to distinct PRRs and the grant
-    count must respect the overcommit ceiling."""
+    """Drive one device through grant/dispatch/finish.  A device has at
+    most one job dispatched to its worker at any instant, so no two
+    live vPRRs can share a physical PRR; the grant count must respect
+    the overcommit ceiling, and jobs dispatch in admission order."""
     scheduler = PoolScheduler(overcommit=overcommit)
     device = PooledDevice(0, PARAMS, scheduler)
-    next_id = 0
-    for op, arg in sequence:
+    submitted = finished = 0
+    live = []
+    for op, *args in sequence:
         if op == "submit":
-            view = device.view()
-            if scheduler.place(arg, [view]) != 0:
+            width, priority, arrival_us = args
+            if scheduler.place(width, [device.view()]) != 0:
                 continue  # grant ceiling reached; pool would hold it
-            job = _mk_pool_job(next_id, arg, 0)
-            next_id += 1
-            assert device.enqueue(job) == ""
-        elif op == "bind":
-            binding = device.next_binding()
-            if binding is not None:
-                job, prrs = binding
-                for vprr, prr in zip(job.vprrs, prrs):
-                    vprr.physical = prr
-        elif op == "finish" and device.live:
-            key = sorted(device.live)[arg % len(device.live)]
-            job = device.live[key]
-            device.release(job)
-            for vprr in job.vprrs:
-                vprr.physical = None
+            device.queue.append(
+                _mk_pool_job(submitted, width, priority, arrival_us)
+            )
+            submitted += 1
+        elif op == "dispatch":
+            queued = list(device.queue)
+            job = device.dispatch_next()
+            if live or not queued:
+                assert job is None
+            else:
+                assert job is min(queued, key=_admission_order)
+                live.append(job)
+        elif op == "finish" and live:
+            device.release(live.pop())
+            finished += 1
         # --- invariants, checked after every operation ---
-        bound = [
-            vprr.physical
-            for job in device.live.values()
-            for vprr in job.vprrs
-            if vprr.physical is not None
-        ]
-        assert len(bound) == len(set(bound)), (
-            f"two live vPRRs share a physical PRR: {bound}"
+        assert len(live) <= 1, "two jobs dispatched to one worker"
+        assert device.running is (live[0] if live else None)
+        assert device.running not in device.queue
+        assert len(device.queue) + len(live) + finished == submitted
+        assert device.vprr_granted == sum(
+            job.width for job in device.queue + live
         )
-        assert set(bound) <= set(device.physical_prrs)
         assert device.vprr_granted <= device.vprr_capacity

@@ -1,5 +1,5 @@
 """End-to-end live compaction: executor relocations, zero-loss
-differentials, trigger discipline, pool ledger repacking.
+differentials, trigger discipline.
 
 The churn scenario (repro.compact.workloads) parks two pinned long
 tenants mid-bus so their chains lane-block the middle IOM; an unpinned
@@ -8,21 +8,15 @@ With ``compaction="on"`` the executor relocates each tenant next to
 its own IOM over the Figure-5 drain-switch path and the short admits.
 """
 
-import asyncio
-
 import pytest
 
 from repro.compact import churn_jobs, churn_params
-from repro.pool import DevicePool, PoolError
-from repro.pool.devices import PooledDevice, PoolJob, VirtualPRR
-from repro.pool.scheduler import PoolScheduler
 from repro.runtime.executor import (
     COMPACTION_BUCKETS,
     ExecutorConfig,
     JobExecutor,
 )
 from repro.runtime.jobs import (
-    Job,
     JobError,
     SourceSpec,
     StageSpec,
@@ -156,111 +150,3 @@ def test_capacity_block_never_triggers_compaction():
     assert all(j.state == "DONE" for j in report.jobs)
     assert report.compaction_runs == 0
     assert report.compaction_moves == 0
-
-
-# ----------------------------------------------------------------------
-# pool-level ledger compaction
-# ----------------------------------------------------------------------
-def make_device(compaction):
-    scheduler = PoolScheduler(overcommit=2.0)
-    return PooledDevice(
-        0, churn_params(), scheduler, compaction=compaction
-    )
-
-
-def pool_job(jid, name, **spec_kwargs):
-    spec = StreamJob(
-        name=name,
-        stages=[StageSpec("passthrough")],
-        source=SourceSpec("ramp", count=100),
-        preemptible=False,
-        **spec_kwargs,
-    )
-    job = PoolJob(id=jid, spec=spec, tenant="t", submitted_t=0.0)
-    job.runtime = Job(spec, index=jid)
-    job.vprrs = [VirtualPRR(vid=jid, job_id=jid, device_id=0)]
-    return job
-
-
-def bind_next(device):
-    bound = device.next_binding()
-    if bound is None:
-        return None
-    job, prrs = bound
-    for vprr, prr in zip(job.vprrs, prrs):
-        vprr.physical = prr
-    return job
-
-
-def fragment_device(compaction="on"):
-    """Long tenants bound mid-bus, a short fragmentation-blocked."""
-    device = make_device(compaction)
-    long_a = pool_job(0, "long-a", iom="rsb0.iom0", prrs=["rsb0.prr3"])
-    long_b = pool_job(1, "long-b", iom="rsb0.iom2", prrs=["rsb0.prr4"])
-    short = pool_job(2, "short")
-    for job in (long_a, long_b, short):
-        assert device.enqueue(job) == ""
-    assert bind_next(device) is long_a
-    assert bind_next(device) is long_b
-    assert bind_next(device) is None  # the short is lane-blocked
-    return device, long_a, long_b, short
-
-
-def test_pool_device_repacks_ledger_and_binds_blocked_job():
-    device, long_a, long_b, short = fragment_device()
-    assert device.maybe_compact() == 2
-    assert device.compaction_moves == 2
-    # the vPRR->PRR fiction tracks the repack
-    assert long_a.vprrs[0].physical == "rsb0.prr0"
-    assert long_b.vprrs[0].physical == "rsb0.prr5"
-    ledger = device.admission.resident_assignments()
-    assert ledger["long-a"].prrs == ["rsb0.prr0"]
-    assert ledger["long-b"].prrs == ["rsb0.prr5"]
-    # the blocked short now binds
-    assert bind_next(device) is short
-    # nothing left to do: the next pass is a no-op
-    assert device.maybe_compact() == 0
-
-
-def test_pool_device_compaction_off_is_inert():
-    device, _, _, _ = fragment_device(compaction="off")
-    assert device.maybe_compact() == 0
-    assert device.compaction_moves == 0
-    assert bind_next(device) is None
-
-
-def test_pool_device_futile_token_suppresses_replanning():
-    device = make_device("on")
-    # both tenants already compact: fragmentation cannot be planned away
-    long_a = pool_job(0, "long-a", iom="rsb0.iom0", prrs=["rsb0.prr0"])
-    long_b = pool_job(1, "long-b", iom="rsb0.iom2", prrs=["rsb0.prr5"])
-    # the short *wants* 2 stages -> needs a run of 2 from one IOM; with
-    # the middle of the bus free that actually binds, so block it by
-    # pinning instead
-    blocked = pool_job(2, "blocked", iom="rsb0.iom1", prrs=["rsb0.prr0"])
-    for job in (long_a, long_b, blocked):
-        assert device.enqueue(job) == ""
-    assert bind_next(device) is long_a
-    assert bind_next(device) is long_b
-    assert bind_next(device) is None
-    # pinned-PRR blocks are capacity, not fragmentation: no planning
-    assert device.maybe_compact() == 0
-    assert device.compaction_moves == 0
-
-
-def test_pool_validates_and_reports_compaction():
-    with pytest.raises(PoolError, match="compaction"):
-        DevicePool(devices=1, compaction="maybe")
-
-    async def scenario():
-        pool = DevicePool(
-            devices=1, compaction="on", use_processes=False
-        )
-        try:
-            assert pool.stats()["compaction"] == "on"
-            assert pool.stats()["compaction_moves"] == 0
-            assert pool.summary()["compaction_moves"] == 0
-        finally:
-            await pool.stop(drain=False)
-
-    asyncio.run(scenario())

@@ -52,6 +52,15 @@ def test_source_spec_rejects_bad_input():
         SourceSpec("tape_deck")
     with pytest.raises(JobError, match="count must be"):
         SourceSpec("ramp", count=0)
+    for kind in ("sine", "noisy_sine"):
+        with pytest.raises(JobError, match="period must not be 0"):
+            SourceSpec(kind, params={"period": 0})
+    with pytest.raises(JobError, match="amplitude must be >= 0"):
+        SourceSpec("noise", params={"amplitude": -5})
+    with pytest.raises(JobError, match="noise_amplitude must be >= 0"):
+        SourceSpec("noisy_sine", params={"noise_amplitude": -1})
+    # a negative period is a mirrored wave, not an error
+    assert len(list(SourceSpec("sine", count=4, params={"period": -8}).build())) == 4
 
 
 def test_job_seed_is_stable_name_hash():

@@ -157,3 +157,12 @@ def test_serve_listen_rejects_fail_fast(tiny_jobfile, capsys):
     args = ["serve", tiny_jobfile, "--listen", "127.0.0.1:0", "--fail-fast"]
     assert main(args) == 2
     assert "--fail-fast" in capsys.readouterr().err
+
+
+def test_serve_listen_rejects_compaction_on(tiny_jobfile, capsys):
+    # every pool job runs alone on its worker, so there is nothing to
+    # compact; the flag must not be accepted and silently ignored
+    args = ["serve", tiny_jobfile, "--listen", "127.0.0.1:0",
+            "--compaction", "on"]
+    assert main(args) == 2
+    assert "--compaction on" in capsys.readouterr().err
