@@ -97,7 +97,6 @@ def test_pool_soak(benchmark):
     print(f"  completion: {completion_rate:,.0f} jobs/s "
           f"({drain_s:.2f}s drain)")
     print(f"  submit->first-sample: p50 {p50:,.0f} ms, p99 {p99:,.0f} ms")
-    print(f"  steals: {pool.steals_total}, requeues: {pool.requeues_total}")
     benchmark.extra_info["RT-POOL:jobs"] = JOBS
     benchmark.extra_info["RT-POOL:devices"] = DEVICES
     benchmark.extra_info["RT-POOL:overcommit"] = OVERCOMMIT
@@ -106,4 +105,3 @@ def test_pool_soak(benchmark):
     benchmark.extra_info["RT-POOL:first_sample_p50_ms"] = p50
     benchmark.extra_info["RT-POOL:first_sample_p99_ms"] = p99
     benchmark.extra_info["RT-POOL:words_lost"] = summary["words_lost"]
-    benchmark.extra_info["RT-POOL:steals"] = pool.steals_total

@@ -922,8 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--overcommit", type=float, default=2.0, metavar="RATIO",
-        help="vPRR grant ceiling per device as a multiple of its healthy "
-             "physical PRRs (default 2.0; 1.0 disables overcommit)",
+        help="pool-wide vPRR grant bound as a multiple of the healthy "
+             "physical PRRs of every non-lost device (default 2.0; 1.0 "
+             "disables overcommit)",
     )
     serve.add_argument(
         "--inline", action="store_true",

@@ -40,12 +40,6 @@ class AssembledApplication:
         self.channels = dict(channels)
 
     # ------------------------------------------------------------------
-    def channel_for(self, edge_key: str) -> StreamingChannel:
-        return self.channels[edge_key]
-
-    def slot_for(self, node: str):
-        return self.system.slot(self.placement[node])
-
     def teardown(self) -> int:
         """Release every channel; returns total in-flight words lost."""
         lost = 0

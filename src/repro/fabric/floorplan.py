@@ -161,12 +161,6 @@ class Floorplan:
         """Slices not inside any PRR (available to the static region)."""
         return self.device.slices - self.prr_slices
 
-    def used_clock_regions(self) -> FrozenSet[ClockRegion]:
-        regions: set = set()
-        for placement in self.prrs.values():
-            regions |= placement.clock_regions
-        return frozenset(regions)
-
     def fragmentation(self, module_slices: Dict[str, int]) -> Dict[str, int]:
         """Wasted slices per PRR for modules of the given sizes.
 

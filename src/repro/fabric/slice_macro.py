@@ -19,10 +19,6 @@ SIGNALS_PER_MACRO = 8
 SLICES_PER_MACRO = 2
 
 
-class SliceMacroError(Exception):
-    """Raised when a disabled macro is driven."""
-
-
 @dataclass
 class SliceMacro:
     """One bus macro crossing a PRR boundary.

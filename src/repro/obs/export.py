@@ -219,7 +219,6 @@ _DEFAULT_HELP: Dict[str, str] = {
     "repro_pool_admission_wait_seconds": (
         "Submission to dispatch latency per tenant"
     ),
-    "repro_pool_device_queue_depth": "Jobs queued per pooled device",
     "repro_pool_exec_seconds": (
         "Device execution latency (running to done) per tenant"
     ),
@@ -229,15 +228,20 @@ _DEFAULT_HELP: Dict[str, str] = {
     "repro_pool_overcommit_pressure": (
         "Granted vPRRs over healthy physical PRRs"
     ),
-    "repro_pool_pending_jobs": "Jobs waiting for a vPRR grant",
+    "repro_pool_pending_jobs": (
+        "Ready-queue jobs still waiting for a pool-wide vPRR grant"
+    ),
     "repro_pool_queue_seconds": (
-        "Submission to device-placement latency per tenant"
+        "Submission to vPRR grant latency per tenant"
     ),
     "repro_pool_snapshots_total": "Device telemetry snapshots ingested",
-    "repro_pool_steals_total": "Jobs stolen between pooled devices",
-    "repro_pool_tenant_queue_depth": "Queued jobs per tenant",
-    "repro_pool_vprr_capacity": "vPRR grant ceiling per device",
-    "repro_pool_vprr_occupancy": "vPRRs currently granted per device",
+    "repro_pool_tenant_queue_depth": "Ready-queue jobs per tenant",
+    "repro_pool_vprr_capacity": (
+        "Pool-wide vPRR grant bound (overcommit x healthy PRRs)"
+    ),
+    "repro_pool_vprr_occupancy": (
+        "vPRRs in use per pooled device (its running job's stages)"
+    ),
     "repro_prr_form_factor": "PRR slices per region",
     "repro_prr_fragmentation_ratio": (
         "1 - largest contiguous free PRR run over total free PRRs"

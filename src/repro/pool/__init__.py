@@ -4,13 +4,13 @@ Serves stream jobs across N devices the way a cluster serves
 containers across hosts, in three layers:
 
 * **virtualization** (:mod:`~repro.pool.devices`,
-  :mod:`~repro.pool.scheduler`) -- jobs request *virtual PRRs* that a
-  deterministic scheduler grants against an overcommitted per-device
-  ceiling; a device's next queued job is dispatched, with the device's
-  quarantined PRRs, only when its worker is idle, and the worker's own
-  admission controller places the stages.  Queue skew is levelled by
-  work stealing, and device loss drains the running job while
-  requeueing the rest;
+  :mod:`~repro.pool.scheduler`) -- accepted jobs wait in one pool-wide
+  ready list and request *virtual PRRs* that a deterministic scheduler
+  grants against one overcommitted pool-wide bound; each idle device
+  takes the first granted job that fits it, with the device's
+  quarantined PRRs, and the worker's own admission controller places
+  the stages.  Device loss stops dispatches to the device and drains
+  its running job;
 * **front door** (:mod:`~repro.pool.server`,
   :mod:`~repro.pool.client`) -- a stdlib-asyncio NDJSON-over-HTTP
   endpoint (``python -m repro serve --listen``) for streaming
@@ -26,7 +26,7 @@ The pool carries the live observability plane from
 (``GET /metrics`` live snapshots, the ``GET /events`` firehose, and
 per-device flight recorders dumped on loss/quarantine).
 
-Placement never changes results: every job runs single-tenant with a
+Dispatch never changes results: every job runs single-tenant with a
 name-derived seed, so a pool run is bit-identical to a single-device
 run of the same jobs under the same quarantine set.
 """
@@ -49,20 +49,18 @@ from repro.pool.devices import (
     PoolJob,
     PooledDevice,
 )
-from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
+from repro.pool.scheduler import PoolScheduler
 from repro.pool.server import PoolServer
 
 __all__ = [
     "ClientError",
     "DevicePool",
-    "DeviceView",
     "PoolClient",
     "PoolError",
     "PoolJob",
     "PoolScheduler",
     "PoolServer",
     "PooledDevice",
-    "StealMove",
     "WorkerBridge",
     "get_json",
     "post_json",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import AsyncIterator, Callable, Dict, List, Optional, Sequence
+from typing import AsyncIterator, Callable, Dict, Optional, Sequence
 
 from repro.runtime.jobs import StreamJob
 
@@ -272,11 +272,3 @@ async def request_shutdown(host: str, port: int) -> None:
         except (ConnectionError, OSError):
             pass
 
-
-def summarize_events(events: List[Dict]) -> Dict[str, int]:
-    """Count event kinds (handy for tests and the smoke script)."""
-    counts: Dict[str, int] = {}
-    for event in events:
-        kind = event.get("event", "?")
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts

@@ -2,35 +2,35 @@
 
 A :class:`DevicePool` serves stream jobs across N simulated devices the
 way a cluster scheduler serves containers across hosts.  Jobs ask for
-**virtual PRRs** (one per chain stage); the pool *grants* vPRRs against
-an overcommitted ceiling (``floor(overcommit x healthy physical PRRs)``
-per device, decided by :class:`~repro.pool.scheduler.PoolScheduler`).
+**virtual PRRs** (one per chain stage).  Accepted jobs wait in one
+pool-wide ready list; the pool *grants* their vPRRs against one
+overcommitted bound (``floor(overcommit x healthy PRRs of every non-lost
+device)``), and each idle device's worker takes the first granted job
+that fits it, together with the device's quarantined-PRR set.  The
+whole policy lives in :class:`~repro.pool.scheduler.PoolScheduler`.
 Grants are the pool's capacity and overcommit accounting, nothing more:
-the pool never assigns physical PRRs.  A device's worker runs one job at
-a time, so the pool dispatches a device's next queued job only when that
-worker is idle, together with the device's quarantined-PRR set; the
-worker's own :class:`~repro.runtime.admission.AdmissionController` then
-admits the job and places its stages on healthy PRRs.
+the pool never assigns physical PRRs.  The worker's own
+:class:`~repro.runtime.admission.AdmissionController` admits the job and
+places its stages on healthy PRRs.
 
 Lifecycle of one job::
 
-    submitted -> placed (vPRRs granted on a device, queued)
-              -> bound  (dispatched to the device's idle worker)
+    submitted -> placed (vPRRs granted pool-wide; still ready, no device)
+              -> bound  (taken by an idle device's worker)
               -> running -> done | failed
 
-Every queued job is fair game for **work stealing** (rebalance when
-queue depths skew) and is **requeued** when its device is lost; the one
-dispatched job drains on its worker either way.  Device loss plugs into
-the ``repro.faults`` quarantine signal: quarantining every PRR marks the
-device lost, and a scrub-verified recovery releases the quarantine and
-rejoins the device.
+Nothing is committed to a device before its worker is idle, so device
+loss only stops new dispatches to it: the running job drains on its
+worker.  Device loss plugs into the ``repro.faults`` quarantine signal:
+quarantining every PRR marks the device lost, and a scrub-verified
+recovery releases the quarantine and rejoins the device.
 
 The pool itself is a single-threaded asyncio object: every method must
 be called from the event loop.  Simulation happens off-loop in device
 workers (:mod:`repro.pool.bridge`); each job runs single-tenant with a
-name-derived seed, so placement, stealing and device loss can never
-change a job's results -- only *when* and *where* they are computed --
-for the same quarantine set.
+name-derived seed, so dispatch order and device loss can never change a
+job's results -- only *when* and *where* they are computed -- for the
+same quarantine set.
 
 The pool also carries the **live observability plane**
 (:mod:`repro.obs.live`): every job gets a deterministic ``trace_id``,
@@ -47,10 +47,10 @@ automatically on device loss or quarantine.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.params import SystemParameters
 from repro.obs.live import (
@@ -66,7 +66,7 @@ from repro.obs.live import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanEvent, Tracer
 from repro.pool.bridge import WorkerBridge
-from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
+from repro.pool.scheduler import PoolScheduler, ready_key
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.jobs import StreamJob
 from repro.runtime.telemetry import FleetReport, JobReport
@@ -107,13 +107,9 @@ class PoolJob:
     failure_reason: str = ""
     first_sample_t: Optional[float] = None
     finished_t: Optional[float] = None
-    steals: int = 0
-    requeues: int = 0
     #: deterministic trace identity (name-derived, like the RNG seed)
     trace_id: str = ""
-    #: lifecycle wall stamps feeding the per-tenant latency histograms
-    placed_t: Optional[float] = None
-    bound_t: Optional[float] = None
+    #: wall stamp the per-tenant execution histogram measures from
     running_t: Optional[float] = None
     #: the device-side span shard (trace_id-tagged) from the final snapshot
     span_shard: List[SpanEvent] = field(default_factory=list)
@@ -124,9 +120,18 @@ class PoolJob:
         return self.state in TERMINAL
 
     @property
+    def granted(self) -> bool:
+        """vPRRs granted and still in the ready list (not yet bound)."""
+        return self.state == PLACED
+
+    @property
     def width(self) -> int:
         """vPRRs the job is granted: one per chain stage."""
         return len(self.spec.stages)
+
+    def __lt__(self, other: PoolJob) -> bool:
+        """Ready-list order, so the pool can bisect a job into place."""
+        return ready_key(self) < ready_key(other)
 
     @property
     def report(self) -> Optional[JobReport]:
@@ -142,8 +147,6 @@ class PoolJob:
             "state": self.state,
             "device": self.device_id,
             "vprrs": self.width,
-            "steals": self.steals,
-            "requeues": self.requeues,
         }
         if self.failure_reason:
             data["failure_reason"] = self.failure_reason
@@ -153,20 +156,14 @@ class PoolJob:
 class PooledDevice:
     """One simulated VAPRES device inside the pool.
 
-    The pool's whole model of a device: its PRR names and the quarantined
-    ones (which size the grant ceiling), the queue of placed jobs, and
-    the one job dispatched to its worker.  Which PRRs a job's stages
-    occupy is decided only by the worker's own admission controller.
+    The pool's whole model of a device: its PRR names, the quarantined
+    ones, and the one job dispatched to its worker.  Which PRRs a job's
+    stages occupy is decided only by the worker's own admission
+    controller.
     """
 
-    def __init__(
-        self,
-        device_id: int,
-        params: SystemParameters,
-        scheduler: PoolScheduler,
-    ) -> None:
+    def __init__(self, device_id: int, params: SystemParameters) -> None:
         self.device_id = device_id
-        self.scheduler = scheduler
         #: PRR slot names, as the worker's admission controller names them
         self.prr_names: List[str] = sorted(
             f"{rsb.name}.prr{i}"
@@ -174,56 +171,14 @@ class PooledDevice:
             for i in range(rsb.num_prrs)
         )
         self.quarantined: Set[str] = set()
-        self.queue: List[PoolJob] = []
         #: the job dispatched to the worker, which runs one at a time
         self.running: Optional[PoolJob] = None
         self.lost = False
         self.lost_reason = ""
 
-    # ------------------------------------------------------------------
     @property
     def healthy_prrs(self) -> int:
         return len(self.prr_names) - len(self.quarantined)
-
-    @property
-    def vprr_capacity(self) -> int:
-        return self.scheduler.vprr_capacity(self.healthy_prrs)
-
-    @property
-    def vprr_granted(self) -> int:
-        granted = sum(job.width for job in self.queue)
-        if self.running is not None:
-            granted += self.running.width
-        return granted
-
-    def view(self) -> DeviceView:
-        return DeviceView(
-            device_id=self.device_id,
-            physical_prrs=self.healthy_prrs,
-            vprr_capacity=self.vprr_capacity,
-            vprr_granted=self.vprr_granted,
-            queue_depth=len(self.queue),
-            lost=self.lost,
-        )
-
-    # ------------------------------------------------------------------
-    def dispatch_next(self) -> Optional[PoolJob]:
-        """Hand the next queued job to an idle worker, if there is one.
-
-        The order is the one admission serves its queue in,
-        ``(-priority, arrival_us, id)``.  ``arrival_us`` is not waited
-        for here: the pool runs on wall-clock time, and arrival pacing
-        is honoured *inside* the worker run, where simulated time exists.
-        """
-        if self.lost or self.running is not None or not self.queue:
-            return None
-        job = min(
-            self.queue,
-            key=lambda j: (-j.spec.priority, j.spec.arrival_us, j.id),
-        )
-        self.queue.remove(job)
-        self.running = job
-        return job
 
     def release(self, job: PoolJob) -> None:
         if self.running is job:
@@ -239,7 +194,6 @@ class DevicePool:
         params: Optional[SystemParameters] = None,
         config: Optional[ExecutorConfig] = None,
         overcommit: float = 2.0,
-        steal_threshold: int = 2,
         use_processes: bool = True,
         clock: Callable[[], float] = time.monotonic,
         snapshot_every_quanta: int = 8,
@@ -252,14 +206,9 @@ class DevicePool:
         )
         self.config = config if config is not None else ExecutorConfig()
         self.clock = clock
-        self.scheduler = PoolScheduler(
-            overcommit=overcommit, steal_threshold=steal_threshold
-        )
+        self.scheduler = PoolScheduler(overcommit=overcommit)
         self.metrics = MetricsRegistry()
-        self.devices = [
-            PooledDevice(i, self.params, self.scheduler)
-            for i in range(devices)
-        ]
+        self.devices = [PooledDevice(i, self.params) for i in range(devices)]
         self.bridge = WorkerBridge(
             workers=devices,
             params=self.params,
@@ -284,14 +233,13 @@ class DevicePool:
         self.flight_dumps: List[Dict] = []
         self.snapshots_total = 0
         self._jobs: Dict[int, PoolJob] = {}
-        self._pending: Deque[PoolJob] = deque()
+        #: accepted jobs no worker has yet, kept in ready order
+        self._ready: List[PoolJob] = []
         self._active_names: set = set()
         self._subscribers: List[asyncio.Queue] = []
         self._next_id = 0
         self._started = False
         self._draining = False
-        self.steals_total = 0
-        self.requeues_total = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -306,8 +254,8 @@ class DevicePool:
     async def drain(self) -> None:
         """Stop accepting work; wait for every accepted job to finish."""
         self._draining = True
-        if not any(not d.lost for d in self.devices):
-            self._fail_pending("no healthy devices left in the pool")
+        if all(d.lost for d in self.devices):
+            self._fail_ready("no healthy devices left in the pool")
         waits = [
             job.done.wait()
             for job in self._jobs.values()
@@ -346,64 +294,35 @@ class DevicePool:
         self._next_id += 1
         self._jobs[job.id] = job
         self._active_names.add(spec.name)
-        self._pending.append(job)
+        bisect.insort(self._ready, job)
         self._emit("submitted", job)
         self._schedule()
         return job
 
     # ------------------------------------------------------------------
-    # scheduling core (placement -> steals -> dispatch)
+    # scheduling core (fail -> grant -> dispatch)
     # ------------------------------------------------------------------
-    def _views(self) -> List[DeviceView]:
-        return [device.view() for device in self.devices]
-
-    @staticmethod
-    def _dispatch_key(job: PoolJob) -> Tuple[int, float, int]:
-        """Deadline-aware dispatch order for pool-pending jobs.
-
-        Jobs carrying a deadline dispatch earliest-absolute-deadline
-        first (the pool-level analogue of the realtime executor's EDF
-        queue); best-effort jobs follow in submission order.
-        """
-        deadline = job.spec.deadline_us
-        if deadline is not None:
-            return (0, job.spec.arrival_us + deadline, job.id)
-        return (1, 0.0, job.id)
-
     def _schedule(self) -> None:
-        # 0. fail pool-pending jobs no healthy device can host: a
-        #    quarantine may have narrowed the pool since they arrived
-        widest = max(
-            (d.healthy_prrs for d in self.devices if not d.lost), default=0
-        )
-        for job in [j for j in self._pending if j.width > widest]:
-            self._pending.remove(job)
+        # 0. fail ready jobs no non-lost device can host: a quarantine
+        #    may have narrowed the pool since they arrived
+        widest = self.scheduler.widest(self.devices)
+        for job in [j for j in self._ready if j.width > widest]:
+            self._ready.remove(job)
             self._fail(
                 job,
                 f"needs {job.width} PRRs but the widest healthy device "
                 f"has {widest}",
             )
-        # 1. place pool-pending jobs, most-urgent-first with
-        #    head-of-line blocking (keeps dispatch order meaningful;
-        #    steals level the rest)
-        while self._pending:
-            job = min(self._pending, key=self._dispatch_key)
-            target = self.scheduler.place(job.width, self._views())
-            if target is None:
-                break
-            self._pending.remove(job)
-            self.devices[target].queue.append(job)
-            job.device_id = target
+        # 1. grant vPRRs in ready order, strict head-of-line
+        for job in self.scheduler.grant(self._ready, self.devices):
             job.state = PLACED
             self._emit("placed", job)
-        # 2. rebalance queued jobs across devices
-        for move in self.scheduler.plan_steals(self._views()):
-            self._execute_steal(move)
-        # 3. dispatch to idle workers, each with its device's quarantine
-        for device in self.devices:
-            job = device.dispatch_next()
-            if job is None:
-                continue
+        # 2. every idle device takes the first granted job that fits,
+        #    with its quarantined set
+        for device, job in self.scheduler.assign(self._ready, self.devices):
+            self._ready.remove(job)
+            device.running = job
+            job.device_id = device.device_id
             job.state = BOUND
             self._emit("bound", job)
             self.bridge.submit(
@@ -416,29 +335,6 @@ class DevicePool:
                 tuple(sorted(device.quarantined)),
             )
         self._refresh_gauges()
-
-    def _execute_steal(self, move: StealMove) -> None:
-        source = self.devices[move.source]
-        target = self.devices[move.target]
-        room = min(target.view().vprr_free, target.healthy_prrs)
-        # newest queued job that fits the receiver, so the head of the
-        # donor's queue (next to dispatch) keeps its place
-        victim = next(
-            (job for job in reversed(source.queue) if job.width <= room),
-            None,
-        )
-        if victim is None:
-            return
-        source.queue.remove(victim)
-        target.queue.append(victim)
-        victim.device_id = target.device_id
-        victim.steals += 1
-        self.steals_total += 1
-        self.metrics.counter("repro_pool_steals_total").inc()
-        self._emit(
-            "stolen", victim,
-            source=source.device_id, target=target.device_id,
-        )
 
     # ------------------------------------------------------------------
     # worker events (called by the bridge pump, inside the loop)
@@ -523,9 +419,10 @@ class DevicePool:
         self._emit("failed", job)
         job.done.set()
 
-    def _fail_pending(self, reason: str) -> None:
-        while self._pending:
-            self._fail(self._pending.popleft(), reason)
+    def _fail_ready(self, reason: str) -> None:
+        ready, self._ready = self._ready, []
+        for job in ready:
+            self._fail(job, reason)
 
     # ------------------------------------------------------------------
     # faults: quarantine, device loss, scrub-verified recovery
@@ -533,12 +430,11 @@ class DevicePool:
     def quarantine_prr(self, device_id: int, prr: str) -> None:
         """Apply a ``repro.faults`` quarantine signal to one device.
 
-        Queued jobs stay queued: each is dispatched with the device's
-        quarantined set, so its worker never places a stage on the
-        retired PRR (and rejects a job the quarantine leaves no room
-        for).  The running job drains on its worker.  When the last
-        healthy PRR goes, the device is lost and its queue is requeued
-        onto the rest of the pool.  Unknown PRR names change nothing.
+        Every later dispatch to the device carries its quarantined set,
+        so the worker never places a stage on the retired PRR (and
+        rejects a job the quarantine leaves no room for).  The running
+        job drains on its worker.  When the last healthy PRR goes, the
+        device is lost.  Unknown PRR names change nothing.
         """
         device = self.devices[device_id]
         if prr in device.prr_names:
@@ -580,8 +476,8 @@ class DevicePool:
         return True
 
     def mark_device_lost(self, device_id: int, reason: str = "lost") -> None:
-        """Graceful device loss: requeue queued work, drain the running
-        job."""
+        """Graceful device loss: no more dispatches to the device, and
+        its running job drains on its worker."""
         device = self.devices[device_id]
         if device.lost:
             return
@@ -591,17 +487,9 @@ class DevicePool:
             "device_lost", device=device_id, reason=reason,
             draining=int(device.running is not None),
         )
-        requeued, device.queue = device.queue, []
-        for job in requeued:
-            job.device_id = None
-            job.state = SUBMITTED
-            job.requeues += 1
-            self.requeues_total += 1
-            self._emit("requeued", job, from_device=device_id)
-        self._pending.extendleft(reversed(requeued))
         self.dump_flight(device_id, f"device_lost:{reason}")
-        if not any(not d.lost for d in self.devices):
-            self._fail_pending("no healthy devices left in the pool")
+        if all(d.lost for d in self.devices):
+            self._fail_ready("no healthy devices left in the pool")
         self._schedule()
 
     # ------------------------------------------------------------------
@@ -643,13 +531,11 @@ class DevicePool:
                 "repro_pool_jobs_submitted_total", labels
             ).inc()
         elif kind == "placed":
-            job.placed_t = now
             self.metrics.histogram(
                 "repro_pool_queue_seconds",
                 buckets=LATENCY_BUCKETS_S, labels=labels,
             ).observe(now - job.submitted_t)
         elif kind == "bound":
-            job.bound_t = now
             self.metrics.histogram(
                 "repro_pool_admission_wait_seconds",
                 buckets=LATENCY_BUCKETS_S, labels=labels,
@@ -674,9 +560,9 @@ class DevicePool:
         """Map one pool lifecycle event onto the job's trace timeline.
 
         Every job owns one ``job/<name>/pool`` track: an ``admission``
-        span from submit to dispatch (placements, steals and requeues are
-        instants inside it) followed by an ``execute`` span covering
-        the worker run.  Failures close whatever is open.
+        span from submit to dispatch (the vPRR grant is an instant inside
+        it) followed by an ``execute`` span covering the worker run.
+        Failures close whatever is open.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -690,22 +576,7 @@ class DevicePool:
             )
         elif kind == "placed":
             tracer.instant(
-                "placed", category="pool", track=track,
-                attrs={**tid, "device": job.device_id},
-            )
-        elif kind == "stolen":
-            tracer.instant(
-                "stolen", category="pool", track=track,
-                attrs={
-                    **tid,
-                    "source": extra.get("source"),
-                    "target": extra.get("target"),
-                },
-            )
-        elif kind == "requeued":
-            tracer.instant(
-                "requeued", category="pool", track=track,
-                attrs={**tid, "from_device": extra.get("from_device")},
+                "placed", category="pool", track=track, attrs=dict(tid)
             )
         elif kind == "bound":
             tracer.end_if_open("admission", track=track, attrs=dict(tid))
@@ -736,23 +607,16 @@ class DevicePool:
             )
 
     def _flight_feed(self, event: Dict) -> None:
-        """Mirror a broadcast event into the flight recorder of every
+        """Mirror a broadcast event into the flight recorder of the
         device it names (heavy ``report`` payloads stripped)."""
-        targets = set()
-        for key in ("device", "source", "target", "from_device"):
-            value = event.get(key)
-            if isinstance(value, int) and 0 <= value < len(self.devices):
-                targets.add(value)
-        if not targets:
+        device_id = event.get("device")
+        if not isinstance(device_id, int) or device_id not in self._flight:
             return
         attrs = {
             k: v for k, v in event.items()
             if k not in ("event", "report", "vprrs")
         }
-        for device_id in sorted(targets):
-            self._flight[device_id].record(
-                event.get("event", "?"), **attrs
-            )
+        self._flight[device_id].record(event.get("event", "?"), **attrs)
 
     def job(self, job_id: int) -> Optional[PoolJob]:
         return self._jobs.get(job_id)
@@ -810,31 +674,33 @@ class DevicePool:
     def tenant_queue_depths(self) -> Dict[str, int]:
         """Per-tenant jobs accepted but not yet dispatched to a worker."""
         depths: Dict[str, int] = {}
-        for job in self._jobs.values():
-            if job.state in (SUBMITTED, PLACED):
-                depths[job.tenant] = depths.get(job.tenant, 0) + 1
+        for job in self._ready:
+            depths[job.tenant] = depths.get(job.tenant, 0) + 1
         return depths
 
     def stats(self) -> Dict:
         """JSON-safe pool snapshot for ``/stats``."""
-        views = self._views()
         return {
             "devices": [
                 {
-                    "device": v.device_id,
-                    "physical_prrs": v.physical_prrs,
-                    "vprr_capacity": v.vprr_capacity,
-                    "vprr_granted": v.vprr_granted,
-                    "queue_depth": v.queue_depth,
-                    "lost": v.lost,
+                    "device": device.device_id,
+                    "physical_prrs": device.healthy_prrs,
+                    "running": (
+                        None if device.running is None
+                        else device.running.spec.name
+                    ),
+                    "lost": device.lost,
                 }
-                for v in views
+                for device in self.devices
             ],
             "overcommit": self.scheduler.overcommit,
+            "vprr_capacity": self.scheduler.bound(self.devices),
+            "vprr_granted": self.scheduler.granted_width(
+                self._ready, self.devices
+            ),
             "inflight": self.inflight,
-            "pool_pending": len(self._pending),
-            "steals": self.steals_total,
-            "requeues": self.requeues_total,
+            "ready": len(self._ready),
+            "pool_pending": self._ungranted(),
             "tenants": self.tenant_queue_depths(),
             "draining": self._draining,
             "live": {
@@ -859,8 +725,6 @@ class DevicePool:
             "states": states,
             "words_out": words_out,
             "words_lost": words_lost,
-            "steals": self.steals_total,
-            "requeues": self.requeues_total,
         }
 
     @property
@@ -872,35 +736,29 @@ class DevicePool:
         )
 
     # ------------------------------------------------------------------
+    def _ungranted(self) -> int:
+        return sum(1 for job in self._ready if not job.granted)
+
     def _refresh_gauges(self) -> None:
-        total_granted = 0
-        total_physical = 0
         for device in self.devices:
-            view = device.view()
-            labels = {"device": str(device.device_id)}
+            running = device.running
             self.metrics.gauge(
-                "repro_pool_vprr_occupancy", labels
-            ).set(view.vprr_granted)
-            self.metrics.gauge(
-                "repro_pool_vprr_capacity", labels
-            ).set(view.vprr_capacity)
-            self.metrics.gauge(
-                "repro_pool_device_queue_depth", labels
-            ).set(view.queue_depth)
-            if not view.lost:
-                total_granted += view.vprr_granted
-                total_physical += view.physical_prrs
+                "repro_pool_vprr_occupancy",
+                {"device": str(device.device_id)},
+            ).set(0 if running is None else running.width)
+        granted = self.scheduler.granted_width(self._ready, self.devices)
+        physical = sum(d.healthy_prrs for d in self.devices if not d.lost)
+        self.metrics.gauge("repro_pool_vprr_capacity").set(
+            self.scheduler.bound(self.devices)
+        )
         # granted vPRRs per healthy physical PRR: 0 idle, 1.0 fully
         # granted with no overbooking, up to `overcommit` when saturated
         self.metrics.gauge("repro_pool_overcommit_pressure").set(
-            total_granted / total_physical if total_physical else 0.0
+            granted / physical if physical else 0.0
         )
-        self.metrics.gauge("repro_pool_pending_jobs").set(
-            len(self._pending)
-        )
+        self.metrics.gauge("repro_pool_pending_jobs").set(self._ungranted())
         depths = self.tenant_queue_depths()
         for tenant, depth in depths.items():
             self.metrics.gauge(
                 "repro_pool_tenant_queue_depth", {"tenant": tenant}
             ).set(depth)
-

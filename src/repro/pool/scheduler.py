@@ -1,152 +1,131 @@
-"""vPRR placement over an overcommitted device pool, plus work stealing.
+"""The pool's one scheduling policy: ready order, vPRR grant, assignment.
 
-The scheduler sees devices only through the small read-only
-:class:`DeviceView` facts each :class:`~repro.pool.devices.PooledDevice`
-publishes -- healthy PRRs, vPRR capacity, vPRRs granted, queue depth --
-so it can be unit- and property-tested without building a single
-simulator.
+A :class:`~repro.pool.devices.DevicePool` keeps one pool-wide ready
+list: the accepted jobs no worker has yet.  Like a VAPRES PRR, which the
+runtime fills only once it is free, a pooled device is bound a job only
+at the moment its worker is idle; nothing is reserved on a device in
+advance.  Three decisions, written as plain methods over
+:class:`~repro.pool.devices.PooledDevice` and
+:class:`~repro.pool.devices.PoolJob` objects, so they can be unit- and
+property-tested without building a single simulator:
 
-Two decisions live here:
+* **order** (:func:`ready_key`) -- deadline jobs first, by absolute
+  deadline (``arrival_us + deadline_us``) then id; best-effort jobs
+  after them, by ``(-priority, arrival_us, id)``, the order the
+  worker's own admission serves its queue in.
+* **grant** (:meth:`PoolScheduler.grant`) -- virtual PRRs are granted
+  against one pool-wide bound, ``floor(overcommit x healthy PRRs of
+  every non-lost device)``, in ready order with strict head-of-line
+  blocking.  The granted width is the granted ready jobs plus the jobs
+  running on non-lost devices; a job draining on a lost device holds no
+  grant.  Grants are accounting only: physical PRRs are assigned by the
+  worker's :class:`~repro.runtime.admission.AdmissionController`, which
+  is never overcommitted.
+* **assignment** (:meth:`PoolScheduler.assign`) -- each idle, non-lost
+  device, in id order, takes the first granted ready job that fits its
+  healthy PRRs.
 
-* **placement** -- which device a newly submitted job's vPRRs land on.
-  A device may grant up to ``floor(overcommit x healthy_physical_prrs)``
-  vPRRs, so more jobs are *admitted* (queued on the device) than can
-  *run* at once.  Grants are accounting only: the pool dispatches one
-  job at a time to a device's idle worker, and physical PRRs are
-  assigned only there, by the worker's own
-  :class:`~repro.runtime.admission.AdmissionController`, which is never
-  overcommitted.
-* **rebalance** -- when queue depths skew (a device lost capacity to
-  quarantine, or placement raced a burst), queued jobs are stolen from
-  the deepest backlog into the emptiest device with spare grant
-  capacity.  Only queued (not yet dispatched) jobs move, and job
-  *results* are unaffected: every job runs single-tenant with a seed
-  derived from its own name, whichever device executes it.
-
-Both decisions are deterministic (stable tie-breaks on device id) so a
-given submission order always produces the same placement history.
+All three are deterministic, and none can change a job's results: every
+job runs single-tenant with a seed derived from its own name, whichever
+device executes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.pool.devices import PooledDevice, PoolJob
 
 
-@dataclass(frozen=True)
-class DeviceView:
-    """What the scheduler may know about one device."""
+def ready_key(job: "PoolJob") -> Tuple:
+    """Ready-list order: earliest absolute deadline, then best effort.
 
-    device_id: int
-    #: healthy physical PRRs (quarantine shrinks this, release restores)
-    physical_prrs: int
-    #: grant ceiling: floor(overcommit x physical_prrs)
-    vprr_capacity: int
-    #: vPRRs currently granted (queued + dispatched)
-    vprr_granted: int
-    #: jobs queued on the device, not yet dispatched to its worker
-    queue_depth: int
-    #: a lost device accepts no new work and is drained
-    lost: bool = False
-
-    @property
-    def vprr_free(self) -> int:
-        return max(0, self.vprr_capacity - self.vprr_granted)
-
-
-@dataclass(frozen=True)
-class StealMove:
-    """One planned migration of a queued job's vPRR grant."""
-
-    source: int
-    target: int
+    ``arrival_us`` orders jobs but is not waited for: the pool runs on
+    wall-clock time, and arrival pacing is honoured inside the worker
+    run, where simulated time exists.
+    """
+    spec = job.spec
+    if spec.deadline_us is not None:
+        return (0, spec.arrival_us + spec.deadline_us, job.id)
+    return (1, -spec.priority, spec.arrival_us, job.id)
 
 
 class PoolScheduler:
-    """Deterministic placement + rebalance policy for a device pool."""
+    """Deterministic grant + assignment policy for a device pool."""
 
-    def __init__(self, overcommit: float = 2.0, steal_threshold: int = 2):
+    def __init__(self, overcommit: float = 2.0):
         if overcommit < 1.0:
             raise ValueError(
                 f"overcommit must be >= 1.0 (1.0 disables it), "
                 f"got {overcommit}"
             )
-        if steal_threshold < 2:
-            raise ValueError(
-                "steal_threshold must be >= 2: moving a job across a "
-                "skew of 1 merely flips the imbalance (the leveling "
-                "loop would ping-pong forever)"
-            )
         self.overcommit = overcommit
-        #: minimum queue-depth skew (deepest minus shallowest) before a
-        #: steal is worth the migration bookkeeping
-        self.steal_threshold = steal_threshold
 
     # ------------------------------------------------------------------
-    def vprr_capacity(self, physical_prrs: int) -> int:
-        """Grant ceiling for a device with ``physical_prrs`` healthy PRRs."""
-        if physical_prrs <= 0:
-            return 0
-        return int(self.overcommit * physical_prrs)
+    def bound(self, devices: Sequence["PooledDevice"]) -> int:
+        """Pool-wide grant bound over the healthy PRRs of non-lost
+        devices."""
+        return int(
+            self.overcommit
+            * sum(d.healthy_prrs for d in devices if not d.lost)
+        )
+
+    @staticmethod
+    def granted_width(
+        ready: Sequence["PoolJob"], devices: Sequence["PooledDevice"]
+    ) -> int:
+        """vPRRs held: granted ready jobs + jobs on non-lost devices."""
+        return sum(job.width for job in ready if job.granted) + sum(
+            d.running.width
+            for d in devices
+            if not d.lost and d.running is not None
+        )
+
+    @staticmethod
+    def widest(devices: Sequence["PooledDevice"]) -> int:
+        """Most healthy PRRs on one non-lost device (0 if none)."""
+        return max((d.healthy_prrs for d in devices if not d.lost), default=0)
 
     # ------------------------------------------------------------------
-    def place(
-        self, vprrs_needed: int, devices: Sequence[DeviceView]
-    ) -> Optional[int]:
-        """Device to grant a new job's vPRRs on, or None (pool-queue it).
+    def grant(
+        self, ready: Sequence["PoolJob"], devices: Sequence["PooledDevice"]
+    ) -> List["PoolJob"]:
+        """Ungranted jobs to grant now, from ``ready`` in ready order.
 
-        Candidates must be healthy, have grant headroom for the whole
-        job, and -- so the job can eventually *run* -- enough healthy
-        physical PRRs to host all its stages at once.  Among candidates the most
-        headroom wins (spreads load); ties go to the lowest id
-        (determinism).
+        Stops at the first job whose width does not fit under the bound
+        (strict head-of-line blocking), so a wide urgent job is never
+        overtaken by narrower jobs behind it.
         """
-        best: Optional[DeviceView] = None
-        for view in devices:
-            if view.lost:
+        room = self.bound(devices) - self.granted_width(ready, devices)
+        granted: List["PoolJob"] = []
+        for job in ready:
+            if job.granted:
                 continue
-            if view.physical_prrs < vprrs_needed:
-                continue
-            if view.vprr_free < vprrs_needed:
-                continue
-            if best is None or view.vprr_free > best.vprr_free:
-                best = view
-        return None if best is None else best.device_id
-
-    # ------------------------------------------------------------------
-    def plan_steals(self, devices: Sequence[DeviceView]) -> List[StealMove]:
-        """Migrations that level queue depths across the pool.
-
-        Repeatedly moves one queued job from the deepest backlog to the
-        shallowest device with spare grant capacity, until the skew
-        drops below ``steal_threshold`` or no receiver has headroom.
-        The plan assumes single-vPRR granularity for headroom checks;
-        the pool validates each move against the actual job's width
-        before executing it (a too-wide job simply is not stolen).
-        """
-        depth = {v.device_id: v.queue_depth for v in devices}
-        free = {v.device_id: v.vprr_free for v in devices if not v.lost}
-        granted = {v.device_id: v.vprr_granted for v in devices}
-        moves: List[StealMove] = []
-        while True:
-            donors = [d for d in depth if depth[d] > 0]
-            receivers = [d for d in free if free[d] > 0]
-            if not donors or not receivers:
+            if job.width > room:
                 break
-            source = max(donors, key=lambda d: (depth[d], -d))
-            target = min(
-                receivers, key=lambda d: (depth.get(d, 0), granted[d], d)
+            room -= job.width
+            granted.append(job)
+        return granted
+
+    @staticmethod
+    def assign(
+        ready: Sequence["PoolJob"], devices: Sequence["PooledDevice"]
+    ) -> List[Tuple["PooledDevice", "PoolJob"]]:
+        """``(device, job)`` dispatches for this instant.
+
+        Each idle, non-lost device, in id order, takes the first granted
+        job of ``ready`` (in ready order) that fits its healthy PRRs.
+        """
+        left = [job for job in ready if job.granted]
+        pairs: List[Tuple["PooledDevice", "PoolJob"]] = []
+        for device in devices:
+            if device.lost or device.running is not None:
+                continue
+            job = next(
+                (j for j in left if j.width <= device.healthy_prrs), None
             )
-            if source == target:
-                break
-            if depth[source] - depth.get(target, 0) < self.steal_threshold:
-                break
-            moves.append(StealMove(source=source, target=target))
-            depth[source] -= 1
-            depth[target] = depth.get(target, 0) + 1
-            free[target] -= 1
-            granted[target] += 1
-            if source in free:
-                free[source] += 1
-                granted[source] -= 1
-        return moves
+            if job is not None:
+                left.remove(job)
+                pairs.append((device, job))
+        return pairs

@@ -10,15 +10,18 @@ stdlib only, no frameworks -- speaking newline-delimited JSON:
     the life of the connection and ends with a half-close (client
     ``write_eof``) or after ``Content-Length`` bytes.  The response
     streams NDJSON lifecycle events for *this connection's* jobs
-    (``submitted``, ``placed``, ``bound``, ``running``,
-    ``first_sample``, ``stolen``, ``requeued``, ``done``, ``failed``)
+    (``submitted``, ``placed`` -- vPRRs granted, ``device`` still
+    null --, ``bound``, ``running``, ``first_sample``, ``done``,
+    ``failed``)
     plus pool-level telemetry (``device_lost``, ``quarantined``...),
     and finishes with one ``batch_done`` summary line once every
     submitted job is terminal.
 ``GET /healthz``
     Liveness: ``{"ok": true, "draining": false, "devices": N}``.
 ``GET /stats``
-    The pool snapshot (vPRR occupancy, queue depths, steal counts).
+    The pool snapshot: the pool-wide grant bound and granted width,
+    the ready and ungranted (``pool_pending``) counts, per-tenant ready
+    depths, and each device's healthy PRRs and running job.
 ``GET /metrics``
     Prometheus text exposition of the pool's *live* metrics: its own
     gauges and counters plus the merged device-snapshot view

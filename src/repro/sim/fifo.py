@@ -257,8 +257,3 @@ class AsyncFifo(SyncFifo):
         self.write_domain = write_domain
         self.read_domain = read_domain
         self.sync_stages = sync_stages
-
-
-def interleave_status(fifos: List[SyncFifo]) -> List[Tuple[str, int, int, int]]:
-    """Summarise a set of FIFOs as ``(name, occupancy, capacity, drops)``."""
-    return [(f.name, len(f), f.capacity, f.drops) for f in fifos]

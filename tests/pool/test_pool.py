@@ -1,4 +1,4 @@
-"""DevicePool behaviour: determinism, stealing, device loss, recovery.
+"""DevicePool behaviour: determinism, the ready queue, device loss, recovery.
 
 All tests run inline workers (threads) -- the code path is identical to
 process workers minus the pickling boundary, and a 1-core CI host gains
@@ -90,18 +90,19 @@ def test_pool_results_match_single_device_and_fleet():
 
 
 def test_overcommit_grants_beyond_physical_but_binds_within():
-    """With overcommit 2.0 a 2-PRR device holds 4 granted vPRRs, yet
-    at most one job at a time is dispatched to its worker (whose own
-    admission places the stages)."""
+    """With overcommit 2.0 a 2-PRR pool grants 4 vPRRs, yet at most one
+    job at a time is dispatched to its worker (whose own admission
+    places the stages)."""
     async def scenario():
         pool = make_pool(devices=1, overcommit=2.0)
         await pool.start()
         sub = pool.subscribe()
         jobs = [pool.submit(tiny_job(f"oc{i}")) for i in range(8)]
         device = pool.devices[0]
-        assert device.vprr_capacity == 4
-        assert device.vprr_granted <= 4
-        assert len(pool._pending) == 8 - device.vprr_granted
+        stats = pool.stats()
+        assert stats["vprr_capacity"] == 4
+        assert stats["vprr_granted"] <= 4
+        assert stats["pool_pending"] == 8 - stats["vprr_granted"]
         dispatched = [j for j in jobs if j.state == "bound"]
         assert dispatched == [device.running]
         await pool.drain()
@@ -127,68 +128,24 @@ def test_no_overcommit_with_ratio_one():
         await pool.start()
         for i in range(6):
             pool.submit(tiny_job(f"nc{i}"))
-        assert pool.devices[0].vprr_granted <= 2  # = physical PRRs
+        assert pool.stats()["vprr_granted"] <= 2  # = physical PRRs
         await pool.drain()
         await pool.stop(drain=False)
     asyncio.run(scenario())
 
 
-def test_work_stealing_rebalances_and_preserves_results():
-    """Hold device 0's worker dispatches at the bridge so its backlog
-    cannot drain: device 1 empties its own queue, the skew crosses the
-    threshold, and the backlog must be stolen across.  Gating the
-    bridge (not racing wall-clock threads) keeps the test
-    deterministic on a 1-core host -- and the results must equal a
-    calm single-device run of the same specs."""
-    # 8 jobs exactly fill both grant ceilings (2 devices x overcommit
-    # 2.0 x 2 PRRs), so no pool-pending placement masks the skew
-    specs = [tiny_job(f"s{i}", count=6) for i in range(8)]
-
-    async def scenario():
-        pool = make_pool(devices=2)
-        await pool.start()
-        held, gate_open = [], False
-        real_submit = pool.bridge.submit
-
-        def gated_submit(worker_id, *dispatch):
-            if worker_id == 0 and not gate_open:
-                held.append((worker_id, *dispatch))
-            else:
-                real_submit(worker_id, *dispatch)
-
-        pool.bridge.submit = gated_submit
-        jobs = [pool.submit(spec) for spec in specs]
-        for _ in range(2000):  # device 1 drains, then steals fire
-            if pool.steals_total > 0:
-                break
-            await asyncio.sleep(0.005)
-        gate_open = True
-        for args in held:
-            real_submit(*args)
-        await pool.drain()
-        await pool.stop(drain=False)
-        return pool, jobs
-
-    pool2, jobs2 = asyncio.run(scenario())
-    assert all(job.state == "done" for job in jobs2)
-    assert pool2.steals_total > 0
-    assert pool2.metrics.value("repro_pool_steals_total") == (
-        pool2.steals_total
-    )
-    stolen = [j for j in jobs2 if j.steals > 0]
-    assert stolen and all(j.device_id == 1 for j in stolen)
-    pool1, jobs1 = asyncio.run(run_pool(specs, devices=1))
-    for ja, jb in zip(jobs2, jobs1):
-        assert fingerprint(ja) == fingerprint(jb)
-
-
 def test_device_loss_requeues_queued_and_drains_bound():
     specs = [tiny_job(f"l{i}", count=6) for i in range(12)]
     seen = {}
+    waiting = []
 
     async def poke(pool):
         sub = pool.subscribe()
         pool.mark_device_lost(0, reason="test-loss")
+        waiting.extend(
+            job for job in map(pool.job, range(len(specs)))
+            if job.state in ("submitted", "placed")
+        )
         while not sub.empty():
             event = sub.get_nowait()
             seen.setdefault(event["event"], 0)
@@ -198,10 +155,8 @@ def test_device_loss_requeues_queued_and_drains_bound():
     pool, jobs = asyncio.run(run_pool(specs, devices=2, mid_run=poke))
     assert all(job.state == "done" for job in jobs)
     assert seen.get("device_lost") == 1
-    assert pool.requeues_total > 0
-    # everything after the loss ran on the surviving device
-    lost_jobs = [j for j in jobs if j.requeues > 0]
-    assert lost_jobs and all(j.device_id == 1 for j in lost_jobs)
+    # everything bound after the loss ran on the surviving device
+    assert waiting and all(j.device_id == 1 for j in waiting)
 
 
 def test_quarantine_of_all_prrs_loses_device_and_recovery_rejoins():
@@ -369,8 +324,8 @@ def test_quarantine_narrowed_pool_fails_too_wide_jobs():
 
 
 def test_steal_skips_a_receiver_narrowed_by_quarantine():
-    """Device 1 has one healthy PRR, so no 2-stage job may be placed or
-    stolen onto it; the whole batch runs on device 0."""
+    """Device 1 has one healthy PRR, so no 2-stage job may be dispatched
+    to it; the whole batch runs on device 0."""
     async def scenario():
         pool = make_pool(devices=2, overcommit=3.0)
         await pool.start()
@@ -381,7 +336,6 @@ def test_steal_skips_a_receiver_narrowed_by_quarantine():
     pool, jobs = asyncio.run(scenario())
     assert [job.state for job in jobs] == ["done"] * 4
     assert all(job.device_id == 0 for job in jobs)
-    assert pool.steals_total == 0
 
 
 def test_pinned_job_fails_in_worker_once_its_prr_is_quarantined():
@@ -402,3 +356,56 @@ def test_pinned_job_fails_in_worker_once_its_prr_is_quarantined():
     assert pinned.state == "failed"
     assert pinned.failure_reason.startswith("rejected at admission:")
     assert "'rsb0.prr1' is quarantined" in pinned.failure_reason
+
+
+# ----------------------------------------------------------------------
+# one ready queue: nothing waits on a device reservation
+# ----------------------------------------------------------------------
+def drain_events(sub):
+    events = []
+    while not sub.empty():
+        events.append(sub.get_nowait())
+    return events
+
+
+def test_idle_device_takes_a_ready_job_while_another_is_busy():
+    """A long job A holds device 0; once B finishes on device 1, the
+    idle device 1 takes C from the ready queue instead of C waiting for
+    device 0 -- and C's results equal a calm single-device run."""
+    specs = [
+        tiny_job("A", count=20_000), tiny_job("B"), tiny_job("C"),
+    ]
+
+    async def scenario():
+        pool = make_pool(devices=2)
+        await pool.start()
+        sub = pool.subscribe()
+        jobs = [pool.submit(spec) for spec in specs]
+        await bounded_drain(pool)
+        return jobs, drain_events(sub)
+
+    (a, b, c), events = asyncio.run(scenario())
+    assert [job.state for job in (a, b, c)] == ["done"] * 3
+    assert (a.device_id, b.device_id, c.device_id) == (0, 1, 1)
+    kinds = [(e["event"], e["job"]) for e in events]
+    assert kinds.index(("bound", "C")) < kinds.index(("done", "A"))
+    _pool1, jobs1 = asyncio.run(run_pool(specs[2:], devices=1))
+    assert fingerprint(c) == fingerprint(jobs1[0])
+
+
+def test_deadline_job_is_bound_before_a_best_effort_job():
+    """Ready order is earliest deadline first, then best effort by
+    priority: a deadline job overtakes a higher-priority best-effort
+    job that arrived before it."""
+    async def scenario():
+        pool = make_pool(devices=1)
+        await pool.start()
+        sub = pool.subscribe()
+        pool.submit(tiny_job("busy", count=400))
+        pool.submit(tiny_job("besteffort", priority=2))
+        pool.submit(tiny_job("deadline", deadline_us=50.0))
+        await bounded_drain(pool)
+        return drain_events(sub)
+
+    bound = [e["job"] for e in asyncio.run(scenario()) if e["event"] == "bound"]
+    assert bound == ["busy", "deadline", "besteffort"]
