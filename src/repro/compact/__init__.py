@@ -5,38 +5,26 @@ refuses jobs that would fit if regions were repacked.  This package
 plans minimal live-module relocation sequences over the zero-loss
 Figure-5 drain-switch path:
 
-* :mod:`repro.compact.planner` -- the pure planning core: placement
-  snapshots, the lane-aware greedy span-shortener, and plan data types;
+* :mod:`repro.compact.planner` -- the planning policy: the greedy
+  span-shortener over one live admission controller, and the plan data
+  types;
 * :mod:`repro.compact.workloads` -- churn workloads that reproduce the
   fragmented state (and the X-COMPACT ablation scenario).
 
-The executor applies plans between scheduling quanta
-(:meth:`repro.runtime.executor.JobExecutor.compact`), the device pool
-applies them to its admission ledgers, and ``python -m repro serve
---compaction on`` switches the whole stack on.
+The admission controller decides which moves are feasible (the same
+move rule fault healing uses); the executor plans and applies moves
+between scheduling quanta
+(:meth:`repro.runtime.executor.JobExecutor.compact`), and ``python -m
+repro serve --compaction on`` switches the whole stack on.
 """
 
-from repro.compact.planner import (
-    CompactionError,
-    CompactionPlan,
-    JobPlacement,
-    Relocation,
-    RsbView,
-    free_run_stats,
-    plan_compaction,
-    view_from_admission,
-)
+from repro.compact.planner import CompactionPlan, Relocation, plan_compaction
 from repro.compact.workloads import churn_jobs, churn_params
 
 __all__ = [
-    "CompactionError",
     "CompactionPlan",
-    "JobPlacement",
     "Relocation",
-    "RsbView",
     "churn_jobs",
     "churn_params",
-    "free_run_stats",
     "plan_compaction",
-    "view_from_admission",
 ]

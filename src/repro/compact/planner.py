@@ -1,49 +1,40 @@
-"""Compaction planning over a placement snapshot.
+"""Compaction planning on the live admission ledger.
 
 The planner answers one question: *which live-module relocations would
 coalesce the free PRR pool enough to admit work that fragmentation is
-currently blocking?*  It never touches hardware -- it consumes a
-:class:`PlacementView` (a plain-data snapshot of one admission
-controller's occupancy) and emits a :class:`CompactionPlan`, an ordered
-move list the executor replays over the Figure-5 drain-switch path (or
-the pool applies to its ledger).
+currently blocking?*  It never touches hardware -- it reads one
+:class:`~repro.runtime.admission.AdmissionController` and emits a
+:class:`CompactionPlan`, an ordered move list the executor replays over
+the Figure-5 drain-switch path.
 
-Planning policy -- greedy span-shortening:
+The controller answers every feasibility question: which PRRs are free
+and healthy, and whether one stage may move
+(:meth:`~repro.runtime.admission.AdmissionController.move_refusal`, the
+same rule fault healing asks -- only a chain's last stage moves, and
+both the mid-switch and the final lane state must fit).  The planner
+keeps only its policy -- greedy span-shortening:
 
-* every resident job's ideal placement is the free PRRs nearest its own
-  IOM (the same ``(distance, position)`` ranking admission itself uses),
-  so a compacted job's channels cross as few switch-box segments as
-  possible;
-* moves are emitted stage by stage and validated against an evolving
-  occupancy model, so at every point of the sequence the target PRR is
-  free and the transient lane demand of the Figure-5 switch is
-  routable;
-* jobs whose relocation would not strictly shorten their channel span
-  are skipped, and a plan that would not strictly raise the largest
-  free run is discarded -- the planner never proposes useless churn.
+* movable residents are visited per RSB, in IOM-position order;
+* a job's targets are the free PRRs nearest its own IOM (the same
+  ``(distance, position)`` ranking admission itself uses), so a
+  compacted job's channels cross as few switch-box segments as possible;
+* a placement is used only if it strictly shortens the job's span, and
+  a plan is kept only if it strictly raises the largest free run -- the
+  planner never proposes useless churn.
 
-The lane model mirrors :class:`repro.runtime.admission._RsbState`
-exactly: a chain hop from attachment position ``a`` to ``b`` consumes
-one rightward (``kr``) or leftward (``kl``) lane on every segment it
-crosses.  The Figure-5 switch releases a stage's *input* channel before
-establishing the replacement (step 4) and its *output* channel before
-re-connecting (step 9), so a move needs two feasibility checks: the
-mid-switch state (old chain minus the input hop, plus the new input
-hop) and the final state (the fully re-pointed chain).
+Each accepted move is applied to the controller as a trial
+(:meth:`~repro.runtime.admission.AdmissionController.relocate`), so
+later decisions see it; every trial is undone, in reverse order, before
+the plan is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-
-class CompactionError(Exception):
-    """Raised on malformed placement snapshots."""
-
+from typing import Callable, Iterable, List, Optional, Tuple
 
 #: ``move_ok(job, old_prr, new_prr)`` -- extra per-move veto supplied by
-#: the caller (floorplan relocation compatibility, slice fit, ...).
+#: the caller (floorplan relocation compatibility, ...).
 MoveCheck = Callable[[str, str, str], bool]
 
 
@@ -56,71 +47,6 @@ class Relocation:
     stage: int
     old_prr: str
     new_prr: str
-
-
-@dataclass(frozen=True)
-class JobPlacement:
-    """Where one resident job sits: its IOM and position-ordered PRRs."""
-
-    iom: str
-    prrs: Tuple[str, ...]
-
-
-@dataclass
-class RsbView:
-    """Plain-data occupancy snapshot of one RSB."""
-
-    name: str
-    prr_position: Dict[str, int]
-    iom_position: Dict[str, int]
-    kr: int = 2
-    kl: int = 2
-    #: resident job name -> placement (only *movable* jobs belong here;
-    #: pin immovable residents by listing their PRRs in ``held_prrs``)
-    placements: Dict[str, JobPlacement] = field(default_factory=dict)
-    #: PRRs occupied by jobs the planner must not move (plus their lane
-    #: chains, via ``held_chains``)
-    held_prrs: Set[str] = field(default_factory=set)
-    held_chains: List[Tuple[str, ...]] = field(default_factory=list)
-    #: faulted/quarantined PRRs -- never free, never a move target, and
-    #: a stage vacating one does not return it to the pool
-    unhealthy: Set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        positions = list(self.prr_position.values()) + list(
-            self.iom_position.values()
-        )
-        if len(set(positions)) != len(positions):
-            raise CompactionError(
-                f"RSB {self.name!r}: attachment positions must be distinct"
-            )
-        for job, placement in self.placements.items():
-            unknown = [
-                p for p in placement.prrs if p not in self.prr_position
-            ]
-            if unknown or placement.iom not in self.iom_position:
-                raise CompactionError(
-                    f"job {job!r} references unknown slots"
-                )
-
-    # ------------------------------------------------------------------
-    @property
-    def segments(self) -> int:
-        return max(
-            0,
-            len(self.prr_position) + len(self.iom_position) - 1,
-        )
-
-    def occupied_prrs(self) -> Set[str]:
-        taken = set(self.held_prrs)
-        for placement in self.placements.values():
-            taken.update(placement.prrs)
-        return taken
-
-    def free_prrs(self) -> Set[str]:
-        return (
-            set(self.prr_position) - self.occupied_prrs() - self.unhealthy
-        )
 
 
 @dataclass
@@ -142,180 +68,72 @@ class CompactionPlan:
         return self.after[1] - self.before[1]
 
 
-# ----------------------------------------------------------------------
-# lane model (mirrors admission's per-segment accounting)
-# ----------------------------------------------------------------------
-class _Lanes:
-    """Directional lane occupancy of one RSB, hop-granular."""
-
-    def __init__(self, view: RsbView) -> None:
-        self.view = view
-        self.right = [0] * view.segments
-        self.left = [0] * view.segments
-
-    def _position(self, slot: str) -> int:
-        view = self.view
-        if slot in view.prr_position:
-            return view.prr_position[slot]
-        return view.iom_position[slot]
-
-    def hops(self, chain: Sequence[str]) -> List[Tuple[str, range]]:
-        out = []
-        for src, dst in zip(chain, chain[1:]):
-            a, b = self._position(src), self._position(dst)
-            if a < b:
-                out.append(("right", range(a, b)))
-            else:
-                out.append(("left", range(b, a)))
-        return out
-
-    def apply(self, hops, sign: int) -> None:
-        for direction, segs in hops:
-            used = self.right if direction == "right" else self.left
-            for seg in segs:
-                used[seg] += sign
-
-    def fits(self, hops) -> bool:
-        need_r = [0] * len(self.right)
-        need_l = [0] * len(self.left)
-        for direction, segs in hops:
-            used, need, cap = (
-                (self.right, need_r, self.view.kr)
-                if direction == "right"
-                else (self.left, need_l, self.view.kl)
-            )
-            for seg in segs:
-                need[seg] += 1
-                if used[seg] + need[seg] > cap:
-                    return False
-        return True
-
-    @staticmethod
-    def span(hops) -> int:
-        """Total segment crossings -- the chain's lane footprint."""
-        return sum(len(segs) for _, segs in hops)
-
-
-def _chain(placement: JobPlacement) -> List[str]:
-    return [placement.iom] + list(placement.prrs) + [placement.iom]
-
-
-# ----------------------------------------------------------------------
-# free-run statistics (identical semantics to admission.free_run_stats)
-# ----------------------------------------------------------------------
-def free_run_stats(
-    rsbs: Sequence[RsbView],
-    overrides: Optional[Dict[str, Set[str]]] = None,
-) -> Tuple[int, int]:
-    """``(free_total, largest_free_run)`` over the snapshot.
-
-    ``overrides`` maps an RSB name to an explicit free set (used by the
-    planner to evaluate hypothetical post-move states).
-    """
-    total = 0
-    largest = 0
-    for view in rsbs:
-        free = (
-            overrides[view.name]
-            if overrides and view.name in overrides
-            else view.free_prrs()
-        )
-        ordered = sorted(
-            view.prr_position, key=lambda n: view.prr_position[n]
-        )
-        run = 0
-        for name in ordered:
-            if name in free:
-                total += 1
-                run += 1
-                largest = max(largest, run)
-            else:
-                run = 0
-    return total, largest
-
-
-# ----------------------------------------------------------------------
-# the planner
-# ----------------------------------------------------------------------
 def plan_compaction(
-    rsbs: Sequence[RsbView],
+    controller,
+    movable: Iterable,
     move_ok: Optional[MoveCheck] = None,
 ) -> CompactionPlan:
     """Compute a minimal relocation sequence that coalesces free runs.
+
+    ``movable`` lists the resident jobs the planner may relocate (the
+    executor passes the RUNNING set -- jobs still placing have no live
+    module to drain-switch); every other resident stays where it is.
+    The controller is left exactly as it was found.
 
     Returns an empty plan when no sequence of valid moves would
     *strictly* raise the largest free run -- callers can treat
     ``plan.empty`` as "compaction cannot help".
     """
     check: MoveCheck = move_ok or (lambda job, old, new: True)
-    before = free_run_stats(rsbs)
-    moves: List[Relocation] = []
-    final_free: Dict[str, Set[str]] = {}
-
-    for view in rsbs:
-        lanes = _Lanes(view)
-        for chain in view.held_chains:
-            lanes.apply(lanes.hops(chain), +1)
-        placements = {
-            job: JobPlacement(p.iom, tuple(p.prrs))
-            for job, p in view.placements.items()
-        }
-        for placement in placements.values():
-            lanes.apply(lanes.hops(_chain(placement)), +1)
-        free = view.free_prrs()
-
-        order = sorted(
-            placements,
-            key=lambda j: (
-                view.iom_position[placements[j].iom],
-                j,
-            ),
-        )
-        for job in order:
-            placements[job] = _compact_job(
-                view, lanes, free, job, placements[job], check, moves
+    movable = list(movable)
+    before = controller.free_run_stats()
+    plan = CompactionPlan(before=before, after=before)
+    trials: List[Tuple[object, Relocation]] = []
+    try:
+        for state in controller.rsb_states:
+            jobs = sorted(
+                (j for j in movable if j.assignment.rsb == state.name),
+                key=lambda j: (state.position(j.assignment.iom), j.spec.name),
             )
-        final_free[view.name] = free
+            for job in jobs:
+                _compact_job(controller, state, job, check, trials)
+        after = controller.free_run_stats()
+    finally:
+        for job, move in reversed(trials):
+            controller.relocate(job, move.new_prr, move.old_prr)
+    if trials and after[1] > before[1]:
+        plan.moves = [move for _job, move in trials]
+        plan.after = after
+    return plan
 
-    after = free_run_stats(rsbs, overrides=final_free)
-    if not moves or after[1] <= before[1]:
-        return CompactionPlan(moves=[], before=before, after=before)
-    return CompactionPlan(moves=moves, before=before, after=after)
+
+def _span(state, iom: str, prrs: List[str]) -> int:
+    """Segment crossings of the chain ``iom -> prrs -> iom``."""
+    chain = [iom] + prrs + [iom]
+    return sum(
+        abs(state.position(a) - state.position(b))
+        for a, b in zip(chain, chain[1:])
+    )
 
 
-def _compact_job(
-    view: RsbView,
-    lanes: _Lanes,
-    free: Set[str],
-    job: str,
-    placement: JobPlacement,
-    check: MoveCheck,
-    moves: List[Relocation],
-) -> JobPlacement:
-    """Pull one job's stages toward its IOM; mutates ``lanes``/``free``."""
-    iom_pos = view.iom_position[placement.iom]
-    current = list(placement.prrs)
+def _compact_job(controller, state, job, check: MoveCheck, trials) -> None:
+    """Pull one job's stages toward its IOM, applying each move as a trial."""
+    iom = job.assignment.iom
+    iom_pos = state.position(iom)
+    current = list(job.assignment.prrs)
+    position = state.prr_position
+    free = {name for name in position if controller.prr_free(name)}
     # ideal targets: nearest candidates among free PRRs and the job's
     # own, position-sorted so stage order stays a clean monotone chain
     candidates = sorted(
         set(current) | free,
-        key=lambda n: (
-            abs(view.prr_position[n] - iom_pos),
-            view.prr_position[n],
-        ),
+        key=lambda n: (abs(position[n] - iom_pos), position[n]),
     )
-    targets = sorted(
-        candidates[: len(current)], key=lambda n: view.prr_position[n]
-    )
+    targets = sorted(candidates[: len(current)], key=position.get)
     if targets == current:
-        return placement
-    # a move must shorten the job's overall lane footprint, or it is
-    # churn for churn's sake
-    ideal = JobPlacement(placement.iom, tuple(targets))
-    if lanes.span(lanes.hops(_chain(ideal))) >= lanes.span(
-        lanes.hops(_chain(placement))
-    ):
-        return placement
+        return
+    if _span(state, iom, targets) >= _span(state, iom, current):
+        return
 
     # emit stage moves in an order where each target is free when its
     # move runs (a later stage may be vacating an earlier stage's
@@ -330,117 +148,15 @@ def _compact_job(
         progressed = False
         for item in list(pending):
             stage, old, new = item
-            if new not in free:
+            if not controller.prr_free(new):
                 continue
-            if not check(job, old, new):
-                pending.remove(item)
-                continue
-            trial = list(current)
-            trial[stage] = new
-            if not _move_feasible(
-                lanes, placement.iom, current, trial, stage
-            ):
-                pending.remove(item)
-                continue
-            old_chain = [placement.iom] + current + [placement.iom]
-            new_chain = [placement.iom] + trial + [placement.iom]
-            lanes.apply(lanes.hops(old_chain), -1)
-            lanes.apply(lanes.hops(new_chain), +1)
-            free.discard(new)
-            if old not in view.unhealthy:
-                free.add(old)
-            current = trial
-            moves.append(
-                Relocation(
-                    job=job,
-                    rsb=view.name,
-                    stage=stage,
-                    old_prr=old,
-                    new_prr=new,
-                )
-            )
             pending.remove(item)
-            progressed = True
-    return JobPlacement(placement.iom, tuple(current))
-
-
-def _move_feasible(
-    lanes: _Lanes,
-    iom: str,
-    current: List[str],
-    trial: List[str],
-    stage: int,
-) -> bool:
-    """Both transient and final lane states of one stage move must fit.
-
-    Transient (Figure-5 steps 4-8): the old chain minus the moving
-    stage's input hop, plus the input hop re-pointed at the new PRR.
-    Final (after step 9): the fully re-pointed chain.
-    """
-    old_chain = [iom] + current + [iom]
-    new_chain = [iom] + trial + [iom]
-    old_hops = lanes.hops(old_chain)
-    new_hops = lanes.hops(new_chain)
-    lanes.apply(old_hops, -1)
-    transient = old_hops[:stage] + [new_hops[stage]] + old_hops[stage + 1:]
-    ok = lanes.fits(transient) and lanes.fits(new_hops)
-    lanes.apply(old_hops, +1)
-    return ok
-
-
-# ----------------------------------------------------------------------
-# snapshot builders
-# ----------------------------------------------------------------------
-def view_from_admission(
-    controller,
-    movable: Optional[Set[str]] = None,
-) -> List[RsbView]:
-    """Snapshot an :class:`~repro.runtime.admission.AdmissionController`.
-
-    ``movable`` restricts which resident jobs the planner may relocate
-    (the executor passes the RUNNING set -- jobs still placing have no
-    live module to drain-switch); every other resident is pinned in
-    place and its lane chain held.
-    """
-    assignments = controller.resident_assignments()
-    views: List[RsbView] = []
-    for rsb in controller.params.rsbs:
-        iom_positions = rsb.resolved_iom_positions()
-        prrs = {
-            f"{rsb.name}.prr{i}": pos
-            for i, pos in enumerate(rsb.prr_positions())
-        }
-        ioms = {
-            f"{rsb.name}.iom{i}": pos
-            for i, pos in enumerate(sorted(iom_positions))
-        }
-        placements: Dict[str, JobPlacement] = {}
-        held_prrs: Set[str] = set()
-        held_chains: List[Tuple[str, ...]] = []
-        for job, assignment in assignments.items():
-            if assignment.rsb != rsb.name:
+            if not check(job.spec.name, old, new):
                 continue
-            if movable is None or job in movable:
-                placements[job] = JobPlacement(
-                    assignment.iom, tuple(assignment.prrs)
-                )
-            else:
-                held_prrs.update(assignment.prrs)
-                held_chains.append(tuple(assignment.chain))
-        unhealthy = {
-            name for name in prrs if not controller.prr_healthy(name)
-        }
-        views.append(
-            RsbView(
-                name=rsb.name,
-                prr_position=prrs,
-                iom_position=ioms,
-                kr=rsb.kr,
-                kl=rsb.kl,
-                placements=placements,
-                held_prrs=held_prrs,
-                held_chains=held_chains,
-                unhealthy=unhealthy,
+            if controller.move_refusal(job, old, new):
+                continue
+            controller.relocate(job, old, new)
+            trials.append(
+                (job, Relocation(job.spec.name, state.name, stage, old, new))
             )
-        )
-    return views
+            progressed = True

@@ -39,6 +39,7 @@ from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.comm.channel import StreamingChannel
 from repro.control.microblaze import Delay, FslGet, FslPut
+from repro.core.rsb import IomSlot
 from repro.modules.base import CMD_FLUSH, CMD_START
 from repro.modules.iom import CMD_ARM_EOS, MSG_EOS
 
@@ -111,6 +112,20 @@ class DrainReport:
     @property
     def duration_seconds(self) -> float:
         return (self.end_ps - self.start_ps) / 1e12
+
+
+def _require_eos_detector(downstream, name: str) -> None:
+    """Refuse a switch or drain whose step 8 could never complete.
+
+    Step 8 waits for the downstream IOM to report the end-of-stream
+    word; any other slot never sends that report, so the MicroBlaze
+    would wait forever.  Raised before step 1, so nothing is written.
+    """
+    if not isinstance(downstream, IomSlot) or downstream.iom is None:
+        raise ValueError(
+            f"downstream slot {name!r} has no attached IOM to report "
+            "end-of-stream (Figure-5 step 8)"
+        )
 
 
 class ModuleSwitcher:
@@ -210,6 +225,7 @@ class ModuleSwitcher:
         old_module = old_slot.module
         if old_module is None:
             raise ValueError(f"PRR {old_prr!r} has no module to replace")
+        _require_eos_detector(downstream, downstream_slot)
         report = SwitchReport(old_prr=old_prr, new_prr=new_prr, new_module=new_module)
         track = f"prr/{old_prr}"
         span_name = f"switch {old_prr}->{new_module}@{new_prr}"
@@ -360,6 +376,7 @@ class ModuleSwitcher:
         module = slot.module
         if module is None:
             raise ValueError(f"PRR {prr!r} has no module to drain")
+        _require_eos_detector(downstream, downstream_slot)
         report = DrainReport(prr=prr)
         track = f"prr/{prr}"
         span_name = f"drain {prr}"

@@ -235,6 +235,8 @@ class DevicePool:
         self._jobs: Dict[int, PoolJob] = {}
         #: accepted jobs no worker has yet, kept in ready order
         self._ready: List[PoolJob] = []
+        #: per-tenant ready depths at the last gauge refresh
+        self._tenant_depths: Dict[str, int] = {}
         self._active_names: set = set()
         self._subscribers: List[asyncio.Queue] = []
         self._next_id = 0
@@ -758,7 +760,9 @@ class DevicePool:
         )
         self.metrics.gauge("repro_pool_pending_jobs").set(self._ungranted())
         depths = self.tenant_queue_depths()
-        for tenant, depth in depths.items():
+        # a tenant whose ready queue emptied reads 0, not its last depth
+        for tenant in {**self._tenant_depths, **depths}:
             self.metrics.gauge(
                 "repro_pool_tenant_queue_depth", {"tenant": tenant}
-            ).set(depth)
+            ).set(depths.get(tenant, 0))
+        self._tenant_depths = depths

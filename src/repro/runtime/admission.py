@@ -111,9 +111,7 @@ class _RsbState:
         return self.iom_position[slot]
 
     # ------------------------------------------------------------------
-    def chain_segments(
-        self, chain: List[str]
-    ) -> List[Tuple[str, range]]:
+    def hops(self, chain: List[str]) -> List[Tuple[str, range]]:
         """Directional lane segments a slot chain occupies, per hop."""
         hops = []
         for src, dst in zip(chain, chain[1:]):
@@ -124,10 +122,11 @@ class _RsbState:
                 hops.append(("left", range(b, a)))
         return hops
 
-    def lanes_available(self, chain: List[str]) -> bool:
+    def fits(self, hops: List[Tuple[str, range]]) -> bool:
+        """True when ``hops`` fit the lanes left over by the residents."""
         right_need = [0] * self.segments
         left_need = [0] * self.segments
-        for direction, segs in self.chain_segments(chain):
+        for direction, segs in hops:
             used, need, cap = (
                 (self.right_used, right_need, self.kr)
                 if direction == "right"
@@ -139,17 +138,12 @@ class _RsbState:
                     return False
         return True
 
-    def occupy_lanes(self, chain: List[str]) -> None:
-        for direction, segs in self.chain_segments(chain):
+    def apply(self, hops: List[Tuple[str, range]], sign: int) -> None:
+        """Occupy (``sign=+1``) or release (``-1``) the lanes of ``hops``."""
+        for direction, segs in hops:
             used = self.right_used if direction == "right" else self.left_used
             for seg in segs:
-                used[seg] += 1
-
-    def release_lanes(self, chain: List[str]) -> None:
-        for direction, segs in self.chain_segments(chain):
-            used = self.right_used if direction == "right" else self.left_used
-            for seg in segs:
-                used[seg] -= 1
+                used[seg] += sign
 
 
 class AdmissionController:
@@ -222,7 +216,7 @@ class AdmissionController:
         """Export PRR free-run fragmentation gauges into ``registry``.
 
         Updated on every free-set mutation (occupy/release, fault,
-        quarantine, reassign).  ``labels`` distinguishes controllers
+        quarantine, relocate).  ``labels`` distinguishes controllers
         sharing a registry.
         """
         registry.describe(
@@ -257,7 +251,7 @@ class AdmissionController:
             )
             run = 0
             for name in ordered:
-                if self._available(name):
+                if self.prr_free(name):
                     total += 1
                     run += 1
                     largest = max(largest, run)
@@ -316,38 +310,20 @@ class AdmissionController:
     def pending_jobs(self) -> List[Job]:
         return list(self._pending)
 
-    def withdraw(self, job: Job) -> bool:
-        """Remove a still-queued job from the wait queue.
-
-        Returns False when the job is not waiting here -- already
-        admitted, or never enqueued.
-        """
-        try:
-            self._pending.remove(job)
-        except ValueError:
-            return False
-        return True
-
     @property
     def prr_names(self) -> List[str]:
         """All PRR slot names this controller accounts, healthy or not."""
         return sorted(self._prr_slices)
 
-    def resident_assignments(self) -> Dict[str, Assignment]:
-        """Snapshot of resident grants (job name -> copied assignment).
+    @property
+    def rsb_states(self) -> List[_RsbState]:
+        """Per-RSB slot positions and lane counters, in parameter order.
 
-        The compaction planner reads this to build its placement view;
-        mutating the copies does not touch the live ledger.
+        Read-only for callers: the compaction planner walks slots by
+        position here and changes the ledger only through
+        :meth:`relocate`.
         """
-        return {
-            name: Assignment(
-                rsb=a.rsb,
-                iom=a.iom,
-                prrs=list(a.prrs),
-                demand=a.demand,
-            )
-            for name, a in self._resident.items()
-        }
+        return self._rsbs
 
     def prr_healthy(self, prr: str) -> bool:
         """True when ``prr`` is neither faulted nor quarantined."""
@@ -406,7 +382,7 @@ class AdmissionController:
             return capacity("no free IOM slot")
         need = self._stage_slices(job)
         if spec.prrs is not None:
-            busy = [p for p in spec.prrs if not self._available(p)]
+            busy = [p for p in spec.prrs if not self.prr_free(p)]
             if busy:
                 return capacity(
                     f"pinned PRR {busy[0]!r} is occupied or unhealthy"
@@ -419,7 +395,7 @@ class AdmissionController:
                     sum(
                         1
                         for name in state.prr_position
-                        if self._available(name)
+                        if self.prr_free(name)
                         and self._prr_slices[name] >= need
                     )
                     for state in self._rsbs
@@ -450,6 +426,7 @@ class AdmissionController:
         stages = len(spec.stages)
         all_prrs = set(self._prr_slices) - self._quarantined
         all_ioms = {n for s in self._rsbs for n in s.iom_position}
+        demand = self._stage_slices(job)
         if spec.iom is not None and spec.iom not in all_ioms:
             return f"unknown IOM slot {spec.iom!r}"
         if spec.prrs is not None:
@@ -462,6 +439,13 @@ class AdmissionController:
                     f"PRR {retired[0]!r} is quarantined after repeated "
                     "configuration faults"
                 )
+            small = [p for p in spec.prrs if self._prr_slices[p] < demand]
+            if small:
+                return (
+                    f"pinned PRR {small[0]!r} has "
+                    f"{self._prr_slices[small[0]]} slices but each stage "
+                    f"needs {demand}"
+                )
         if stages > len(all_prrs):
             return (
                 f"needs {stages} PRRs but the system has {len(all_prrs)} "
@@ -469,7 +453,6 @@ class AdmissionController:
             )
         if not all_ioms:
             return "system has no IOM slots"
-        demand = self._stage_slices(job)
         if all(demand > s for s in self._prr_slices.values()):
             return (
                 f"per-stage demand of {demand} slices exceeds every "
@@ -507,11 +490,11 @@ class AdmissionController:
             free_prrs = [
                 (pos, name)
                 for name, pos in state.prr_position.items()
-                if self._available(name)
+                if self.prr_free(name)
                 and self._prr_slices[name] >= need_slices
             ]
             if spec.prrs is not None:
-                if any(not self._available(p) for p in spec.prrs):
+                if any(not self.prr_free(p) for p in spec.prrs):
                     continue
                 if any(p not in state.prr_position for p in spec.prrs):
                     continue
@@ -542,7 +525,7 @@ class AdmissionController:
                 assignment = Assignment(
                     rsb=state.name, iom=iom_name, prrs=chosen, demand=demand
                 )
-                if state.lanes_available(assignment.chain):
+                if state.fits(state.hops(assignment.chain)):
                     return assignment
         return None
 
@@ -551,7 +534,7 @@ class AdmissionController:
         self._free_ioms.discard(assignment.iom)
         for prr in assignment.prrs:
             self._free_prrs.discard(prr)
-        state.occupy_lanes(assignment.chain)
+        state.apply(state.hops(assignment.chain), +1)
         self.used = self.used + assignment.demand
         self._resident[job.spec.name] = assignment
         self._update_fragmentation()
@@ -565,14 +548,15 @@ class AdmissionController:
         for prr in assignment.prrs:
             if prr not in self._quarantined:
                 self._free_prrs.add(prr)
-        state.release_lanes(assignment.chain)
+        state.apply(state.hops(assignment.chain), -1)
         self.used = self.used - assignment.demand
         self._update_fragmentation()
 
     # ------------------------------------------------------------------
     # PRR health (repro.faults)
     # ------------------------------------------------------------------
-    def _available(self, prr: str) -> bool:
+    def prr_free(self, prr: str) -> bool:
+        """True when ``prr`` is unoccupied and healthy: assignable now."""
         return (
             prr in self._free_prrs
             and prr not in self._faulted
@@ -641,67 +625,94 @@ class AdmissionController:
         self._update_fragmentation()
         return True
 
-    def find_replacement(self, job: Job, faulted_prr: str) -> Optional[str]:
-        """A free healthy PRR that can host the stage on ``faulted_prr``.
+    def move_refusal(self, job: Job, old_prr: str, new_prr: str) -> str:
+        """Why the stage of resident ``job`` on ``old_prr`` may not
+        live-move to ``new_prr`` now; ``""`` when it may.
 
-        Checks slice fit and that the re-routed chain still has lane
-        capacity (trial release/occupy of the current chain).
+        The one move rule: compaction planning and fault healing both
+        ask it.  A live move is one Figure-5 switch.  Step 8 waits for
+        the downstream *IOM* to report end-of-stream, so only a chain's
+        last stage can move.  Step 4 re-points the stage's input hop
+        while the old output hop stays up until step 9, so the transient
+        chain must fit the lanes as well as the final one.
         """
-        assignment = self._resident.get(job.spec.name)
-        if assignment is None or faulted_prr not in assignment.prrs:
-            return None
-        state = self._state(assignment.rsb)
+        assignment = self._resident[job.spec.name]
+        stage = assignment.prrs.index(old_prr)
+        if stage != len(assignment.prrs) - 1:
+            return (
+                f"stage {stage} of {job.spec.name!r} on {old_prr!r} feeds "
+                f"PRR {assignment.prrs[stage + 1]!r}, not an IOM: a "
+                "Figure-5 switch needs the IOM's end-of-stream report "
+                "(step 8)"
+            )
+        if not self.prr_free(new_prr):
+            return f"PRR {new_prr!r} is occupied or unhealthy"
         need = self._stage_slices(job)
-        for name in sorted(
-            state.prr_position, key=lambda n: state.prr_position[n]
-        ):
-            if not self._available(name):
-                continue
-            if self._prr_slices[name] < need:
-                continue
-            trial_prrs = [
-                name if p == faulted_prr else p for p in assignment.prrs
-            ]
-            trial_chain = [assignment.iom] + trial_prrs + [assignment.iom]
-            state.release_lanes(assignment.chain)
-            ok = state.lanes_available(trial_chain)
-            state.occupy_lanes(assignment.chain)
-            if ok:
-                return name
-        return None
+        if self._prr_slices[new_prr] < need:
+            return (
+                f"PRR {new_prr!r} has {self._prr_slices[new_prr]} slices "
+                f"but the stage needs {need}"
+            )
+        state = self._state(assignment.rsb)
+        trial = [new_prr if p == old_prr else p for p in assignment.prrs]
+        old_hops = state.hops(assignment.chain)
+        new_hops = state.hops([assignment.iom] + trial + [assignment.iom])
+        state.apply(old_hops, -1)
+        try:
+            # steps 4-8: the old chain minus the stage's input hop, plus
+            # that hop re-pointed at the new PRR
+            transient = (
+                old_hops[:stage] + [new_hops[stage]] + old_hops[stage + 1:]
+            )
+            if not state.fits(transient):
+                return (
+                    f"no switch-box lanes for {new_prr!r} while "
+                    f"{old_prr!r} drains (Figure-5 steps 4-8)"
+                )
+            if not state.fits(new_hops):
+                return f"no switch-box lanes for the chain through {new_prr!r}"
+        finally:
+            state.apply(old_hops, +1)
+        return ""
 
-    def reassign(self, job: Job, old_prr: str, new_prr: str) -> None:
-        """Swap one PRR of a resident job's grant (module replacement).
+    def find_replacement(
+        self, job: Job, faulted_prr: str
+    ) -> Tuple[Optional[str], str]:
+        """Where the stage on ``faulted_prr`` can be re-landed.
 
-        The vacated PRR is marked faulted -- it stays out of the free
-        pool until :meth:`mark_repaired` confirms its frames are clean.
+        Returns ``(prr, "")`` for the first PRR, in position order, that
+        passes :meth:`move_refusal`, else ``(None, reason)``: the
+        refusal of the last free candidate, the stage's own refusal when
+        it is not the chain's last, or "no healthy spare PRR" when no
+        PRR is free.
         """
         assignment = self._resident[job.spec.name]
         state = self._state(assignment.rsb)
-        state.release_lanes(assignment.chain)
-        self._free_prrs.discard(new_prr)
-        assignment.prrs = [
-            new_prr if p == old_prr else p for p in assignment.prrs
-        ]
-        state.occupy_lanes(assignment.chain)
-        self.mark_faulted(old_prr)
-        self._update_fragmentation()
+        last = assignment.prrs[-1] == faulted_prr
+        refusal = "no healthy spare PRR for replacement"
+        for name in sorted(state.prr_position, key=state.prr_position.get):
+            reason = self.move_refusal(job, faulted_prr, name)
+            if not reason:
+                return name, ""
+            if self.prr_free(name) or not last:
+                refusal = reason
+        return None, refusal
 
     def relocate(self, job: Job, old_prr: str, new_prr: str) -> None:
-        """Swap one PRR of a resident grant for planned compaction.
+        """Swap one PRR of a resident grant: the ledger side of a move.
 
-        Same ledger motion as :meth:`reassign`, but the vacated PRR is
-        healthy by construction -- it rejoins the free pool immediately
-        instead of being marked faulted.
+        The vacated PRR rejoins the free pool unless it is faulted or
+        quarantined; a heal marks it faulted first, so it stays out
+        until :meth:`mark_repaired` confirms its frames are clean.
         """
         assignment = self._resident[job.spec.name]
         state = self._state(assignment.rsb)
-        state.release_lanes(assignment.chain)
+        state.apply(state.hops(assignment.chain), -1)
         self._free_prrs.discard(new_prr)
         assignment.prrs = [
             new_prr if p == old_prr else p for p in assignment.prrs
         ]
-        state.occupy_lanes(assignment.chain)
+        state.apply(state.hops(assignment.chain), +1)
         if old_prr not in self._faulted and old_prr not in self._quarantined:
             self._free_prrs.add(old_prr)
         self._update_fragmentation()

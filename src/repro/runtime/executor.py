@@ -369,12 +369,10 @@ class JobExecutor:
             # nothing streaming there: an in-place rewrite is enough
             self.plant.complete_replacement(prr, ok=False)
             return
-        spare = self.admission.find_replacement(job, prr)
+        spare, refusal = self.admission.find_replacement(job, prr)
         if spare is None:
             self.plant.complete_replacement(prr, ok=False)
-            self._evict_for_fault(
-                job, prr, "no healthy spare PRR for replacement"
-            )
+            self._evict_for_fault(job, prr, refusal)
             return
         if self.move_stage(job, prr, spare, "heal"):
             self.plant.complete_replacement(prr, ok=True)
@@ -445,7 +443,9 @@ class JobExecutor:
             job.fault_recoveries += 1
             self.fig5_recoveries += 1
             self.fig5_samples_lost += lost
-            self.admission.reassign(job, old_prr, new_prr)
+            # the vacated PRR stays out of the free pool until repaired
+            self.admission.mark_faulted(old_prr)
+            self.admission.relocate(job, old_prr, new_prr)
             metrics = self.system.sim.metrics
             metrics.counter("repro_fault_fig5_recoveries_total").inc()
             metrics.counter("repro_fault_fig5_lost_words_total").inc(lost)
@@ -523,18 +523,16 @@ class JobExecutor:
         channels with zero sample loss.  Aborts the remaining sequence
         on the first move the switch software refuses.
         """
-        from repro.compact.planner import (
-            plan_compaction,
-            view_from_admission,
-        )
+        from repro.compact.planner import plan_compaction
 
         movable = {
             job.spec.name: job
             for job in self._jobs
             if job.state is JobState.RUNNING and job.assignment is not None
         }
-        views = view_from_admission(self.admission, movable=set(movable))
-        plan = plan_compaction(views, move_ok=self._move_ok)
+        plan = plan_compaction(
+            self.admission, movable.values(), move_ok=self._move_ok
+        )
         if plan.empty:
             return 0
         before_total, before_largest = plan.before

@@ -1,96 +1,65 @@
 """Unit tests for the compaction planner (repro.compact.planner).
 
-Everything runs against plain-data :class:`RsbView` snapshots on the
-canonical fragmentation-prone layout from
+Everything runs against live admission controllers on the canonical
+fragmentation-prone layout from
 :func:`repro.compact.workloads.churn_params`: six PRRs at bus positions
 1,2,3,5,6,7 interleaved with three IOMs at 0,4,8 and a single lane per
 direction.  Two pinned long tenants parked mid-bus (prr3 from iom0,
 prr4 from iom2) split the free pool into runs of 3 and 1; compacting
-each next to its own IOM coalesces a run of 4.
+each next to its own IOM coalesces a run of 4.  Residents are admitted
+through enqueue/next_decision/occupy, so every ledger is a reachable
+serving state.
 """
 
-import pytest
+from dataclasses import replace
 
-from repro.compact.planner import (
-    CompactionError,
-    JobPlacement,
-    Relocation,
-    RsbView,
-    free_run_stats,
-    plan_compaction,
-)
-
-PRR_POS = {f"rsb0.prr{i}": pos for i, pos in enumerate([1, 2, 3, 5, 6, 7])}
-IOM_POS = {"rsb0.iom0": 0, "rsb0.iom1": 4, "rsb0.iom2": 8}
+from repro.compact import churn_params
+from repro.compact.planner import Relocation, plan_compaction
+from repro.runtime.admission import AdmissionController
+from repro.runtime.jobs import Job, JobState, SourceSpec, StageSpec, StreamJob
 
 
-def churn_view(**overrides):
-    """The canonical fragmented snapshot; override fields per test."""
-    kwargs = dict(
-        name="rsb0",
-        prr_position=dict(PRR_POS),
-        iom_position=dict(IOM_POS),
-        kr=1,
-        kl=1,
-        placements={
-            "long-a": JobPlacement("rsb0.iom0", ("rsb0.prr3",)),
-            "long-b": JobPlacement("rsb0.iom2", ("rsb0.prr4",)),
-        },
+def controller_for(kr=1, kl=1):
+    params = churn_params()
+    rsb = replace(params.rsbs[0], kr=kr, kl=kl)
+    return AdmissionController(replace(params, rsbs=[rsb]))
+
+
+def admit(controller, name, iom, prr):
+    """Admit one pinned single-stage resident, as the executor would."""
+    job = Job(
+        StreamJob(
+            name=name,
+            stages=[StageSpec("passthrough")],
+            source=SourceSpec("ramp", count=100),
+            iom=iom,
+            prrs=[prr],
+        ),
+        index=0,
     )
-    kwargs.update(overrides)
-    return RsbView(**kwargs)
+    controller.enqueue(job, 0.0)
+    picked, decision = controller.next_decision(0.0, [])
+    assert picked is job
+    controller.occupy(job, decision.assignment)
+    job.assignment = decision.assignment
+    job.transition(JobState.ADMITTED, 0.0)
+    return job
 
 
-# ----------------------------------------------------------------------
-# snapshot validation
-# ----------------------------------------------------------------------
-def test_view_rejects_duplicate_attachment_positions():
-    with pytest.raises(CompactionError, match="distinct"):
-        churn_view(iom_position={"rsb0.iom0": 1, "rsb0.iom1": 4})
-
-
-def test_view_rejects_placements_on_unknown_slots():
-    with pytest.raises(CompactionError, match="unknown slots"):
-        churn_view(
-            placements={"ghost": JobPlacement("rsb0.iom0", ("rsb9.prr9",))}
-        )
-    with pytest.raises(CompactionError, match="unknown slots"):
-        churn_view(
-            placements={"ghost": JobPlacement("rsb9.iom9", ("rsb0.prr0",))}
-        )
-
-
-def test_free_pool_excludes_occupied_and_unhealthy():
-    view = churn_view(unhealthy={"rsb0.prr0"})
-    assert view.free_prrs() == {"rsb0.prr1", "rsb0.prr2", "rsb0.prr5"}
-    assert view.occupied_prrs() == {"rsb0.prr3", "rsb0.prr4"}
-
-
-# ----------------------------------------------------------------------
-# free-run statistics
-# ----------------------------------------------------------------------
-def test_free_run_stats_on_fragmented_snapshot():
-    # free = prr0,prr1,prr2 (run of 3) + prr5 (run of 1)
-    assert free_run_stats([churn_view()]) == (4, 3)
-
-
-def test_free_run_stats_empty_and_full():
-    assert free_run_stats([]) == (0, 0)
-    empty = churn_view(placements={})
-    assert free_run_stats([empty]) == (6, 6)
-
-
-def test_free_run_stats_honours_overrides():
-    view = churn_view()
-    after = {"rsb0": {"rsb0.prr1", "rsb0.prr2", "rsb0.prr3", "rsb0.prr4"}}
-    assert free_run_stats([view], overrides=after) == (4, 4)
+def churn_ledger(**kwargs):
+    """The canonical fragmented ledger: both long tenants movable."""
+    controller = controller_for(**kwargs)
+    long_a = admit(controller, "long-a", "rsb0.iom0", "rsb0.prr3")
+    long_b = admit(controller, "long-b", "rsb0.iom2", "rsb0.prr4")
+    return controller, long_a, long_b
 
 
 # ----------------------------------------------------------------------
 # planning on the canonical layout
 # ----------------------------------------------------------------------
 def test_plan_compacts_both_tenants_toward_their_ioms():
-    plan = plan_compaction([churn_view()])
+    controller, long_a, long_b = churn_ledger()
+    plan = plan_compaction(controller, [long_a, long_b])
     assert plan.moves == [
         Relocation("long-a", "rsb0", 0, "rsb0.prr3", "rsb0.prr0"),
         Relocation("long-b", "rsb0", 0, "rsb0.prr4", "rsb0.prr5"),
@@ -99,10 +68,14 @@ def test_plan_compacts_both_tenants_toward_their_ioms():
     assert plan.after == (4, 4)
     assert plan.gain == 1
     assert not plan.empty
+    # planning left the ledger as it found it
+    assert long_a.assignment.prrs == ["rsb0.prr3"]
+    assert controller.free_run_stats() == (4, 3)
 
 
 def test_plan_targets_are_free_when_their_move_runs():
-    plan = plan_compaction([churn_view()])
+    controller, long_a, long_b = churn_ledger()
+    plan = plan_compaction(controller, [long_a, long_b])
     occupied = {"rsb0.prr3", "rsb0.prr4"}
     for move in plan.moves:
         assert move.new_prr not in occupied
@@ -111,34 +84,26 @@ def test_plan_targets_are_free_when_their_move_runs():
 
 
 def test_already_compact_layout_yields_empty_plan():
-    view = churn_view(
-        placements={
-            "long-a": JobPlacement("rsb0.iom0", ("rsb0.prr0",)),
-            "long-b": JobPlacement("rsb0.iom2", ("rsb0.prr5",)),
-        }
-    )
-    plan = plan_compaction([view])
+    controller = controller_for()
+    long_a = admit(controller, "long-a", "rsb0.iom0", "rsb0.prr0")
+    long_b = admit(controller, "long-b", "rsb0.iom2", "rsb0.prr5")
+    plan = plan_compaction(controller, [long_a, long_b])
     assert plan.empty
     assert plan.before == plan.after
 
 
 def test_no_movable_jobs_yields_empty_plan():
-    view = churn_view(
-        placements={},
-        held_prrs={"rsb0.prr3", "rsb0.prr4"},
-        held_chains=[
-            ("rsb0.iom0", "rsb0.prr3", "rsb0.iom0"),
-            ("rsb0.iom2", "rsb0.prr4", "rsb0.iom2"),
-        ],
-    )
-    assert plan_compaction([view]).empty
+    controller, _long_a, _long_b = churn_ledger()
+    assert plan_compaction(controller, []).empty
 
 
 # ----------------------------------------------------------------------
 # constraints: health, holds, vetoes, lanes
 # ----------------------------------------------------------------------
 def test_unhealthy_prr_is_never_a_move_target():
-    plan = plan_compaction([churn_view(unhealthy={"rsb0.prr0"})])
+    controller, long_a, long_b = churn_ledger()
+    controller.mark_faulted("rsb0.prr0")
+    plan = plan_compaction(controller, [long_a, long_b])
     assert plan.moves  # compaction still possible via prr1
     assert all(m.new_prr != "rsb0.prr0" for m in plan.moves)
     assert plan.moves[0] == Relocation(
@@ -149,13 +114,9 @@ def test_unhealthy_prr_is_never_a_move_target():
 
 def test_held_prr_is_never_a_move_target():
     # kr=kl=2 so the held tenant's chain does not lane-block the moves
-    view = churn_view(
-        kr=2,
-        kl=2,
-        held_prrs={"rsb0.prr0"},
-        held_chains=[("rsb0.iom0", "rsb0.prr0", "rsb0.iom0")],
-    )
-    plan = plan_compaction([view])
+    controller, long_a, long_b = churn_ledger(kr=2, kl=2)
+    admit(controller, "held", "rsb0.iom1", "rsb0.prr0")
+    plan = plan_compaction(controller, [long_a, long_b])
     assert plan.moves
     assert all(m.new_prr != "rsb0.prr0" for m in plan.moves)
     # before: prr1+prr2 run of 2; after: prr2,prr3,prr4 run of 3
@@ -164,33 +125,29 @@ def test_held_prr_is_never_a_move_target():
 
 
 def test_move_ok_veto_prunes_every_move():
+    controller, long_a, long_b = churn_ledger()
     plan = plan_compaction(
-        [churn_view()], move_ok=lambda job, old, new: False
+        controller, [long_a, long_b], move_ok=lambda job, old, new: False
     )
     assert plan.empty
 
 
 def test_held_chain_can_make_a_move_lane_infeasible():
-    # a pinned resident's chain spans the whole bus on the single lane
-    # pair, so no relocation can route -- the planner must refuse
-    view = churn_view(
-        placements={
-            "long-a": JobPlacement("rsb0.iom0", ("rsb0.prr3",)),
-        },
-        held_prrs={"rsb0.prr5"},
-        held_chains=[("rsb0.iom0", "rsb0.prr5", "rsb0.iom0")],
-    )
-    assert plan_compaction([view]).empty
+    # long-a sits right of iom1 and its nearest healthy free PRR (prr1)
+    # lies left of it; the held tenant's chain iom0 -> prr2 owns the
+    # single lane pair across segment 2, so the move cannot route
+    controller = controller_for()
+    admit(controller, "held", "rsb0.iom0", "rsb0.prr2")
+    long_a = admit(controller, "long-a", "rsb0.iom1", "rsb0.prr5")
+    controller.mark_faulted("rsb0.prr3")
+    assert "lanes" in controller.move_refusal(long_a, "rsb0.prr5", "rsb0.prr1")
+    assert plan_compaction(controller, [long_a]).empty
 
 
 def test_plan_refuses_churn_that_does_not_raise_largest_run():
     # long-b pinned in place: relocating long-a alone shuffles the free
     # pool but the largest run stays 3, so the plan is discarded
-    view = churn_view(
-        placements={"long-a": JobPlacement("rsb0.iom0", ("rsb0.prr3",))},
-        held_prrs={"rsb0.prr4"},
-        held_chains=[("rsb0.iom2", "rsb0.prr4", "rsb0.iom2")],
-    )
-    plan = plan_compaction([view])
+    controller, long_a, _long_b = churn_ledger()
+    plan = plan_compaction(controller, [long_a])
     assert plan.empty
     assert plan.before == plan.after

@@ -140,6 +140,21 @@ def test_switch_requires_resident_module():
         )
 
 
+def test_switch_and_drain_refuse_a_downstream_without_an_iom():
+    # step 8 waits for an IOM's end-of-stream report; a PRR never sends
+    # one, so both refuse before step 1: no DCR write, no ICAP transfer
+    system, _, _, ch_in, ch_out = make_scenario()
+    system.run_for_us(5)
+    writes, icap_bytes = system.dcr_bus.writes, system.icap.bytes_written
+    with pytest.raises(ValueError, match="no attached IOM"):
+        run_switch(system, ch_in, ch_out, downstream_slot="rsb0.prr1")
+    with pytest.raises(ValueError, match="no attached IOM"):
+        run_drain(system, ch_in, ch_out, downstream_slot="rsb0.prr1")
+    assert system.dcr_bus.writes == writes
+    assert system.icap.bytes_written == icap_bytes
+    assert system.prr("rsb0.prr0").module is not None
+
+
 def test_switch_unknown_reconfig_path():
     system, _, _, ch_in, ch_out = make_scenario()
     system.run_for_us(5)

@@ -286,6 +286,25 @@ def test_pool_gauges_track_occupancy_and_tenants():
     assert pool.metrics.value("repro_pool_overcommit_pressure") == 0.0
 
 
+def test_tenant_queue_gauge_returns_to_zero_once_drained():
+    async def scenario():
+        pool = make_pool(devices=1)
+        await pool.start()
+        for i in range(6):
+            pool.submit(tiny_job(f"q{i}"), tenant="t")
+        queued = pool.metrics.value(
+            "repro_pool_tenant_queue_depth", {"tenant": "t"}
+        )
+        await pool.drain()
+        await pool.stop(drain=False)
+        return queued, pool.metrics.value(
+            "repro_pool_tenant_queue_depth", {"tenant": "t"}
+        )
+    queued, drained = asyncio.run(scenario())
+    assert queued > 0
+    assert drained == 0
+
+
 # ----------------------------------------------------------------------
 # quarantine narrows what a device can run; no job may wait forever
 # ----------------------------------------------------------------------

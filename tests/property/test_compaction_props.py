@@ -1,27 +1,31 @@
 """Property tests: compaction plans stay sound against the real ledger.
 
-The planner works on a plain-data snapshot of one admission controller;
-its three load-bearing promises are
+The planner works on one live admission controller; its four
+load-bearing promises are
 
 * a move sequence is *applicable*: every move's target PRR is free at
   the moment that move runs (no two live modules ever share a PRR),
 * a non-empty plan pays for itself: replayed against the controller it
   was planned from, the largest free PRR run strictly grows and no free
   capacity is lost,
+* planning leaves no trace: the controller's ledger and its exported
+  metrics are exactly as they were before the plan,
 * relocation is invisible to the data path: a job moved mid-stream
   produces exactly the words it produces when nothing moves it.
 
-Placement maps come from a *real* :class:`AdmissionController` on the
-churn layout -- random pinned residents admitted through the normal
-enqueue/decide/occupy path -- so the snapshots the planner sees here are
-exactly the ones it sees in production.
+Ledgers come from a *real* :class:`AdmissionController` on the churn
+layout -- random pinned residents admitted through the normal
+enqueue/decide/occupy path -- so the state the planner sees here is
+exactly the state it sees in production.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compact import churn_jobs, churn_params
-from repro.compact.planner import plan_compaction, view_from_admission
+from repro.compact.planner import plan_compaction
+from repro.obs.export import prometheus_text
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.admission import AdmissionController, AdmissionDecision
 from repro.runtime.executor import ExecutorConfig, JobExecutor
 from repro.runtime.jobs import (
@@ -52,9 +56,10 @@ def pinned_job(name, iom, prr, index):
 def admitted_ledgers(draw):
     """A live controller with 1-3 randomly pinned residents.
 
-    Each candidate goes through the production admission path; pinnings
-    the lane model cannot route are simply withdrawn, so every drawn
-    ledger is a reachable serving state, never a synthetic one.
+    Each candidate goes through the production admission path; a
+    pinning the lane model cannot route stays queued (residents are only
+    added, so it never becomes assignable), and every drawn ledger is a
+    reachable serving state, never a synthetic one.
     """
     count = draw(st.integers(min_value=1, max_value=3))
     prrs = draw(st.permutations(PRRS))[:count]
@@ -68,7 +73,6 @@ def admitted_ledgers(draw):
             continue
         pick = controller.next_decision(0.0, [])
         if pick is None:
-            controller.withdraw(job)
             continue
         picked, decision = pick
         controller.occupy(picked, decision.assignment)
@@ -86,8 +90,7 @@ def test_moves_never_overlap_two_live_modules(data):
     free when its move runs and every source matches the mover's actual
     placement at that point in the sequence."""
     controller, residents = data
-    views = view_from_admission(controller, movable=set(residents))
-    plan = plan_compaction(views)
+    plan = plan_compaction(controller, residents.values())
     occupied = {
         prr
         for job in residents.values()
@@ -113,8 +116,7 @@ def test_nonempty_plans_strictly_grow_the_largest_run(data):
     non-empty plan lands exactly on its predicted stats: same free
     total, strictly larger largest run."""
     controller, residents = data
-    views = view_from_admission(controller, movable=set(residents))
-    plan = plan_compaction(views)
+    plan = plan_compaction(controller, residents.values())
     before = controller.free_run_stats()
     assert plan.before == before
     if plan.empty:
@@ -126,6 +128,36 @@ def test_nonempty_plans_strictly_grow_the_largest_run(data):
     assert after == plan.after
     assert after[1] > before[1]
     assert after[0] == before[0]
+
+
+def ledger_state(controller):
+    """Everything planning could disturb: grants, free set, lanes."""
+    return (
+        {
+            name: (a.rsb, a.iom, list(a.prrs))
+            for name, a in getattr(controller, "_resident").items()
+        },
+        sorted(getattr(controller, "_free_prrs")),
+        [
+            (list(state.right_used), list(state.left_used))
+            for state in controller.rsb_states
+        ],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=admitted_ledgers())
+def test_planning_leaves_ledger_and_metrics_untouched(data):
+    """Trial moves are undone: the ledger and every exported gauge read
+    byte-for-byte what they read before the planner ran."""
+    controller, residents = data
+    registry = MetricsRegistry()
+    controller.bind_metrics(registry)
+    text = prometheus_text(registry)
+    state = ledger_state(controller)
+    plan_compaction(controller, residents.values())
+    assert prometheus_text(registry) == text
+    assert ledger_state(controller) == state
 
 
 CONFIG = dict(quantum_us=25.0, max_us=20_000.0)

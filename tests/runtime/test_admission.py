@@ -3,7 +3,7 @@ priority queueing, backfill and preemption planning."""
 
 
 from repro.compact import churn_params
-from repro.core.params import SystemParameters
+from repro.core.params import RsbParameters, SystemParameters
 from repro.runtime.admission import AdmissionController, AdmissionDecision
 from repro.runtime.jobs import Job, JobState, StageSpec, StreamJob
 
@@ -59,6 +59,26 @@ def test_rejects_oversized_stage_demand():
     controller = make_controller()
     result = controller.enqueue(make_job("huge", slices_per_stage=10_000_000))
     assert result.decision is AdmissionDecision.REJECT
+
+
+def test_rejects_pinned_prr_smaller_than_the_stage():
+    params = SystemParameters(
+        board="ML402",
+        rsbs=[
+            RsbParameters(name="rsb0", prr_slices=640),
+            RsbParameters(name="rsb1", prr_slices=320),
+        ],
+    )
+    controller = AdmissionController(params)
+    result = controller.enqueue(
+        make_job("wide", prrs=["rsb1.prr0"], slices_per_stage=600)
+    )
+    assert result.decision is AdmissionDecision.REJECT
+    assert result.reason.startswith("capacity:")
+    assert "'rsb1.prr0' has 320 slices" in result.reason
+    assert "needs 600" in result.reason
+    # the same stage pinned to a PRR it fits is admitted
+    admit(controller, make_job("fits", prrs=["rsb0.prr0"], slices_per_stage=600))
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +232,7 @@ def test_used_vector_tracks_residency():
 
 
 # ----------------------------------------------------------------------
-# quarantine release (scrub-verified recovery) and queue withdrawal
+# quarantine release (scrub-verified recovery)
 # ----------------------------------------------------------------------
 def test_release_quarantine_restores_capacity_and_free_pool():
     controller = make_controller()
@@ -263,19 +283,6 @@ def test_release_quarantine_does_not_free_resident_prr():
     assert prr not in getattr(controller, "_free_prrs")
     controller.release(job)
     assert prr in getattr(controller, "_free_prrs")
-
-
-def test_withdraw_removes_only_queued_jobs():
-    controller = make_controller()
-    queued = make_job("queued")
-    controller.enqueue(queued)
-    assert controller.queue_depth == 1
-    assert controller.withdraw(queued)
-    assert controller.queue_depth == 0
-    assert not controller.withdraw(queued)  # already gone
-    resident = make_job("resident")
-    admit(controller, resident)
-    assert not controller.withdraw(resident)  # admitted, not queued
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +359,7 @@ def test_relocate_moves_grant_and_frees_old_prr():
     admit(controller, job)
     assert controller.free_run_stats() == (5, 3)
     controller.relocate(job, "rsb0.prr3", "rsb0.prr0")
-    assignment = controller.resident_assignments()["tenant"]
-    assert assignment.prrs == ["rsb0.prr0"]
+    assert job.assignment.prrs == ["rsb0.prr0"]
     assert "rsb0.prr3" in getattr(controller, "_free_prrs")
     assert "rsb0.prr0" not in getattr(controller, "_free_prrs")
     assert controller.free_run_stats() == (5, 5)
@@ -368,3 +374,70 @@ def test_relocate_keeps_quarantined_old_prr_out_of_free_pool():
     assert "rsb0.prr3" not in getattr(controller, "_free_prrs")
     # the vacated-but-quarantined PRR breaks the free run at position 3
     assert controller.free_run_stats() == (4, 2)
+
+
+# ----------------------------------------------------------------------
+# the move rule (compaction and healing both ask move_refusal)
+# ----------------------------------------------------------------------
+def line_controller(kr=1, kl=1, num_prrs=3):
+    """One RSB: the IOM at position 0, then ``num_prrs`` PRRs."""
+    return AdmissionController(
+        SystemParameters(
+            board="ML402",
+            rsbs=[
+                RsbParameters(
+                    name="rsb0", num_prrs=num_prrs, num_ioms=1,
+                    iom_positions=[0], kr=kr, kl=kl,
+                )
+            ],
+        )
+    )
+
+
+def test_move_rule_refuses_interior_stages():
+    controller = line_controller(kr=2, kl=2, num_prrs=4)
+    job = make_job("pipe", stages=2, prrs=["rsb0.prr0", "rsb0.prr1"])
+    admit(controller, job)
+    refusal = controller.move_refusal(job, "rsb0.prr0", "rsb0.prr2")
+    assert "not an IOM" in refusal and "step 8" in refusal
+    assert controller.move_refusal(job, "rsb0.prr1", "rsb0.prr2") == ""
+    # healing asks the same rule: an interior stage names the refusal
+    # even though free spares exist; the last stage gets the first one
+    assert controller.find_replacement(job, "rsb0.prr0") == (None, refusal)
+    assert controller.find_replacement(job, "rsb0.prr1") == ("rsb0.prr2", "")
+
+
+def test_move_rule_checks_the_mid_switch_lanes():
+    # chain iom -> prr2 -> prr1 -> iom on one lane per direction: moving
+    # the last stage to prr0 fits when finished, but while prr1 drains
+    # its old output hop and the new input hop both need left segment 1
+    controller = line_controller()
+    job = make_job("zigzag", stages=2, prrs=["rsb0.prr2", "rsb0.prr1"])
+    admit(controller, job)
+    refusal = controller.move_refusal(job, "rsb0.prr1", "rsb0.prr0")
+    assert "steps 4-8" in refusal
+    assert controller.find_replacement(job, "rsb0.prr1") == (None, refusal)
+
+
+def test_move_rule_refuses_busy_unhealthy_and_small_targets():
+    controller = line_controller(kr=2, kl=2, num_prrs=4)
+    job = make_job(
+        "pipe", stages=2, prrs=["rsb0.prr0", "rsb0.prr1"],
+        slices_per_stage=300,
+    )
+    admit(controller, job)
+    busy = controller.move_refusal(job, "rsb0.prr1", "rsb0.prr0")
+    assert "occupied or unhealthy" in busy
+    controller.mark_faulted("rsb0.prr2")
+    assert "occupied or unhealthy" in controller.move_refusal(
+        job, "rsb0.prr1", "rsb0.prr2"
+    )
+    # a floorplanned PRR smaller than the stage's slice demand
+    getattr(controller, "_prr_slices")["rsb0.prr3"] = 200
+    assert "has 200 slices but the stage needs 300" in (
+        controller.move_refusal(job, "rsb0.prr1", "rsb0.prr3")
+    )
+    controller.mark_faulted("rsb0.prr3")
+    assert controller.find_replacement(job, "rsb0.prr1") == (
+        None, "no healthy spare PRR for replacement"
+    )

@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.params import SystemParameters
+from repro.core.params import RsbParameters, SystemParameters
+from repro.faults.model import CampaignConfig
 from repro.obs.export import prometheus_text
 from repro.pool import run_batch
 from repro.runtime import (
@@ -359,6 +360,52 @@ def suspend(executor, job):
 
 def outputs(executor):
     return {job.spec.name: job.output_words for job in executor._jobs}
+
+
+def heal_two_stage_job(stage):
+    """Heal one stage of a streaming 2-stage chain (IOM at 0, PRRs 1-4)."""
+    params = SystemParameters(
+        pr_speedup=20_000.0,
+        rsbs=[
+            RsbParameters(
+                name="rsb0", num_prrs=4, num_ioms=1, iom_positions=[0],
+                kr=2, kl=2,
+            )
+        ],
+    )
+    config = replace(
+        CONFIG,
+        faults=CampaignConfig(seed=1, duration_us=1.0, max_fault_retries=0),
+    )
+
+    def heal(executor, job):
+        executor._replace_module(job.assignment.prrs[stage])
+
+    executor = ScriptedExecutor([(50, heal)], params=params, config=config)
+    spec = ramp_job(
+        "pipe", count=500, iom="rsb0.iom0", prrs=["rsb0.prr0", "rsb0.prr1"],
+        stages=[StageSpec("passthrough"), StageSpec("passthrough")],
+    )
+    return executor.run([spec]).job("pipe"), executor
+
+
+def test_healing_the_last_stage_moves_it_with_zero_loss():
+    job, executor = heal_two_stage_job(stage=1)
+    assert job.state == "DONE"
+    assert job.words_out == 500
+    assert job.words_lost == 0
+    assert executor.fig5_recoveries == 1
+
+
+def test_healing_an_interior_stage_evicts_with_the_move_refusal():
+    # the stage feeds a PRR, whose module never reports end-of-stream:
+    # no Figure-5 switch is attempted, the job is evicted instead
+    job, executor = heal_two_stage_job(stage=0)
+    assert executor.fig5_recoveries == 0
+    assert executor.fault_evictions == 1
+    assert job.state == "FAILED"  # max_fault_retries=0: no requeue
+    assert "not an IOM" in job.failure_reason
+    assert "healthy spare" not in job.failure_reason
 
 
 def test_fault_eviction_leaves_no_words_for_the_slots_next_tenant():
