@@ -9,7 +9,7 @@ with an optional variable-rate one, a finite source of random length
 runs dry part-way through, and small FIFOs plus slow stages behind fast
 ones force backpressure.
 
-Two oracles:
+Three oracles:
 
 * the event-heap kernel (``REPRO_FASTPATH=0`` behaviour), which never
   skips or replays an edge: the fast path must match it on every word,
@@ -18,7 +18,14 @@ Two oracles:
   sequence counter and ``now``;
 * a functional one: the output equals each stage's ``process``
   composed over the source words, minus the words the gated consumer
-  discarded.
+  discarded;
+* a conservation one: every FIFO holds ``pushes - pops`` words (no
+  example clears a FIFO once words move).
+
+Random examples rarely run a slow stage long enough to fill a FIFO, so
+:data:`BACKPRESSURED` adds fixed chains that do: a source pushing every
+cycle into 2- and 3-cycle stages, at FIFO depths 16 and 512, and a
+``select`` that halves a PRR's local clock mid-stream.
 
 Tier-1 runs :data:`FUZZ_EXAMPLES` examples; a hypothesis profile with a
 larger ``max_examples`` (``--hypothesis-profile=nightly``, registered in
@@ -28,6 +35,7 @@ larger ``max_examples`` (``--hypothesis-profile=nightly``, registered in
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,6 +237,21 @@ def composed(scenario):
     return [from_u32(w) for w in words]
 
 
+def check(scenario):
+    """Both kernels on ``scenario``, against each other and the functional
+    and conservation oracles; returns the heap kernel's snapshot."""
+    heap, blocks = run(scenario, fastpath=False)
+    fast, fast_blocks = run(scenario, fastpath=True)
+    assert fast == heap
+    assert fast_blocks == blocks
+    expected = without_gated(composed(scenario), blocks)
+    received = heap["received"]
+    assert received == expected[: len(received)]
+    for name, pushes, pops, _, _, words in heap["fifos"]:
+        assert len(words) == pushes - pops, name
+    return heap
+
+
 def without_gated(expected, blocks):
     """``expected`` minus the words each gated block discarded."""
     kept = []
@@ -272,10 +295,35 @@ def scenarios(draw):
 @given(scenario=scenarios())
 @settings(max_examples=_examples(), deadline=None)
 def test_fast_path_matches_heap_and_composition(scenario):
-    heap, blocks = run(scenario, fastpath=False)
-    fast, fast_blocks = run(scenario, fastpath=True)
-    assert fast == heap
-    assert fast_blocks == blocks
-    expected = without_gated(composed(scenario), blocks)
-    received = heap["received"]
-    assert received == expected[: len(received)]
+    check(scenario)
+
+
+#: Chains whose source outpaces a stage long enough to fill a FIFO of
+#: ``depth`` words inside one segment.
+BACKPRESSURED = {
+    "median-2cyc-depth16": (
+        [("median", 2, 2)], 16, 1, 3000, 1, 1, [(("none",), 2500)],
+    ),
+    "avg-3cyc-depth512": (
+        [("avg", 1, 3)], 512, 2, 3000, 1, 1, [(("none",), 2500)],
+    ),
+    "fir-2cyc-behind-pass-depth512": (
+        [("pass", 0, 1), ("fir", 3, 2)], 512, 3, 3000, 1, 1,
+        [(("none",), 1200), (("none",), 2500)],
+    ),
+    "halved-lcd-depth16": (
+        [("avg", 0, 1)], 16, 4, 2000, 1, 1, [(("select", 0, 1), 2500)],
+    ),
+    "halved-then-restored-lcd-depth512": (
+        [("abs", 0, 1), ("crc", 0, 1)], 512, 5, 3000, 1, 1,
+        [(("select", 1, 1), 2500), (("select", 1, 0), 1000)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKPRESSURED))
+def test_backpressured_chain_fills_a_fifo_and_matches_heap(name):
+    scenario = BACKPRESSURED[name]
+    heap = check(scenario)
+    depth = scenario[1]
+    assert any(fifo[4] == depth for fifo in heap["fifos"])
