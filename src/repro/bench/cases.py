@@ -188,8 +188,8 @@ def _fig5_system(fastpath: bool) -> Tuple[object, object, object, object]:
     return system, iom, ch_in, ch_out
 
 
-def _fig5_steady(quick: bool, fastpath: bool) -> CaseResult:
-    system, iom, _, _ = _fig5_system(fastpath)
+def _steady(system, iom, quick: bool) -> CaseResult:
+    """Cycles per second of ``system`` streaming on, after a warm-up."""
     per_slice = 2_000 if quick else 8_000
     slice_count = 16
     system.run_for_cycles(2_000)  # warm-up: fill pipelines, settle FIFOs
@@ -208,12 +208,50 @@ def _fig5_steady(quick: bool, fastpath: bool) -> CaseResult:
     return result
 
 
+def _fig5_steady(quick: bool, fastpath: bool) -> CaseResult:
+    system, iom, _, _ = _fig5_system(fastpath)
+    return _steady(system, iom, quick)
+
+
 def case_fig5_steady_state(quick: bool) -> CaseResult:
     return _fig5_steady(quick, fastpath=True)
 
 
 def case_fig5_steady_state_heap(quick: bool) -> CaseResult:
     return _fig5_steady(quick, fastpath=False)
+
+
+# ----------------------------------------------------------------------
+# Multi-rate chain: IOM -> MovingAverage at a halved LCD -> 2-cycle
+# MedianFilter -> IOM, held at the feedback-full threshold by back-pressure
+# ----------------------------------------------------------------------
+def _multirate_steady(quick: bool, fastpath: bool) -> CaseResult:
+    from repro.core.params import SystemParameters
+    from repro.core.system import VapresSystem
+    from repro.modules import Iom, MovingAverage
+    from repro.modules.filters import MedianFilter
+    from repro.modules.sources import sine_wave
+
+    system = VapresSystem(SystemParameters.prototype())
+    if not fastpath:
+        system.sim.set_fastpath(False)
+    iom = Iom("io0", source=sine_wave(count=10_000_000))
+    system.attach_iom("rsb0.iom0", iom)
+    system.place_module_directly(MovingAverage("avg", window=4), "rsb0.prr0")
+    system.place_module_directly(MedianFilter("median", window=3), "rsb0.prr1")
+    system.prr("rsb0.prr0").bufgmux.select(1)  # CLK_sel=1: half the LCD
+    system.open_stream("rsb0.iom0", "rsb0.prr0")
+    system.open_stream("rsb0.prr0", "rsb0.prr1")
+    system.open_stream("rsb0.prr1", "rsb0.iom0")
+    return _steady(system, iom, quick)
+
+
+def case_multirate_steady_state(quick: bool) -> CaseResult:
+    return _multirate_steady(quick, fastpath=True)
+
+
+def case_multirate_steady_state_heap(quick: bool) -> CaseResult:
+    return _multirate_steady(quick, fastpath=False)
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +561,8 @@ CASES: Dict[str, CaseFn] = {
     "fig5_steady_state": case_fig5_steady_state,
     "fig5_steady_state_heap": case_fig5_steady_state_heap,
     "fig5_switch": case_fig5_switch,
+    "multirate_steady_state": case_multirate_steady_state,
+    "multirate_steady_state_heap": case_multirate_steady_state_heap,
     "fleet_steady_state": case_fleet_steady_state,
     "fleet_steady_state_heap": case_fleet_steady_state_heap,
     "realtime_pipeline": case_realtime_pipeline,

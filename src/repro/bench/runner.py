@@ -119,6 +119,11 @@ def derive_ratios(results: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
     for fast, heap, key in (
         ("fig5_steady_state", "fig5_steady_state_heap", "fig5_fastpath_speedup"),
         (
+            "multirate_steady_state",
+            "multirate_steady_state_heap",
+            "multirate_fastpath_speedup",
+        ),
+        (
             "fleet_steady_state",
             "fleet_steady_state_heap",
             "fleet_fastpath_speedup",

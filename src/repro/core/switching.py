@@ -47,6 +47,15 @@ from repro.modules.iom import CMD_ARM_EOS, MSG_EOS
 StepObserver = Callable[[int, int, str], None]
 
 
+class SwitchError(RuntimeError):
+    """A switch that failed after it released a channel: ``report`` holds
+    the steps done, the words lost so far and the channels established."""
+
+    def __init__(self, message: str, report: "SwitchReport") -> None:
+        super().__init__(message)
+        self.report = report
+
+
 @dataclass
 class SwitchReport:
     """Outcome of one module switch."""
@@ -281,8 +290,9 @@ class ModuleSwitcher:
             dst_port=0,
         )
         if new_input is None:
-            raise RuntimeError(
-                f"no switch-box lanes available for {upstream_slot} -> {new_prr}"
+            raise SwitchError(
+                f"no switch-box lanes available for {upstream_slot} -> {new_prr}",
+                report,
             )
         report.input_channel = new_input
         yield from self.api.vapres_fifo_control(upstream.module_id, ren=True)
@@ -331,8 +341,9 @@ class ModuleSwitcher:
             dst_port=downstream_port,
         )
         if new_output is None:
-            raise RuntimeError(
-                f"no switch-box lanes available for {new_prr} -> {downstream_slot}"
+            raise SwitchError(
+                f"no switch-box lanes available for {new_prr} -> {downstream_slot}",
+                report,
             )
         report.output_channel = new_output
         mark(9, f"{new_prr} connected to {downstream_slot}; switch complete")

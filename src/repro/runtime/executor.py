@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # deferred at runtime: repro.faults imports this module
 
 from repro.control.microblaze import DcrWrite, Delay
 from repro.core.params import SystemParameters
-from repro.core.switching import ModuleSwitcher
+from repro.core.switching import ModuleSwitcher, SwitchError
 from repro.core.system import VapresSystem
 from repro.modules.base import CMD_CHECKPOINT, CMD_START, MSG_CKPT, staged
 from repro.modules.iom import Iom
@@ -392,7 +392,10 @@ class JobExecutor:
         compaction, ``.cN`` modules); it keys the module suffix, the
         counters, the admission-ledger update and the trace instant.
         Returns False when the switch could not run (ICAP busy with a
-        non-preemptible transfer, or the software raised).
+        non-preemptible transfer, or the software raised).  A switch that
+        raised after releasing the stage's input channel (step 4) leaves
+        that handle released in ``job.channels``, where vacating skips
+        it, and the words its release lost counted on the job.
         """
         heal = reason == "heal"
         stage_index = job.assignment.prrs.index(old_prr)
@@ -431,6 +434,8 @@ class JobExecutor:
                 "runtime",
                 f"module switch off {old_prr} failed: {exc}",
             )
+            if isinstance(exc, SwitchError):
+                job.words_lost += exc.report.words_lost
             return False
         finally:
             self.scheduler.resume()
@@ -868,7 +873,8 @@ class JobExecutor:
             # the first stage's sample counter is exactly the number of
             # source words the chain processed
             consumed = self.system.slot(prrs[0]).module.samples_in
-            yield from api.vapres_release_channel(channels[0])
+            if not channels[0].released:
+                yield from api.vapres_release_channel(channels[0])
             lost = yield from self._strip_software(job, channels[1:], prrs)
             return states, consumed, lost
         # the upstream stages go cold one at a time, each stopped right
@@ -878,7 +884,8 @@ class JobExecutor:
         # order sets the words lost, and eviction accounting pins it
         lost = 0
         for index in range(len(prrs) - 1):
-            lost += yield from api.vapres_release_channel(channels[index])
+            if not channels[index].released:
+                lost += yield from api.vapres_release_channel(channels[index])
             slot = self.system.slot(prrs[index])
             yield from api.vapres_module_clock(slot.module_id, False)
             yield from api.vapres_fifo_reset(slot.module_id)
@@ -886,7 +893,8 @@ class JobExecutor:
             prrs[-1],
             upstream_slot=prrs[-2] if len(prrs) > 1 else assignment.iom,
             downstream_slot=assignment.iom,
-            input_channel=channels[-2],
+            # a failed switch may have released the input already
+            input_channel=None if channels[-2].released else channels[-2],
             output_channel=channels[-1],
             pause_upstream=len(prrs) == 1,
         )

@@ -76,13 +76,20 @@ class ClockedComponent:
     * ``steady_key()`` is the component's control state without payload:
       FSM phase, busy countdowns, valid bits, the
       :meth:`~repro.sim.fifo.SyncFifo.steady_key` of every FIFO it
-      touches.  Its contract: while every adopted component's key repeats
-      after P passes, each edge of the next P passes makes the same
-      decisions, moves words only as delay lines through the
-      ``steady_stages()`` and changes nothing else but the
-      ``steady_counters()``, each by the same amount every period; no
-      counter may steer a decision unless it is part of the key.  None
-      (the default) means never replay.
+      touches.  A key may hold a FIFO's occupancy only through that
+      method, which stands the FIFO in for it; the replay engine reads
+      the occupancies beside the key.  Its contract: while every adopted
+      component's key repeats after P passes, and every FIFO occupancy
+      either repeats too or moves by the same amount d every period
+      (drift), each edge of the next P passes makes the same decisions,
+      moves words only as delay lines through the ``steady_stages()``
+      and changes nothing else but the ``steady_counters()``, each by
+      the same amount every period.  An edge may read an occupancy only
+      against the FIFO's thresholds -- empty, full, the feedback-full
+      ``capacity - almost_full_slack`` -- so that a drifted occupancy
+      decides alike until it crosses one; no counter may steer a
+      decision unless it is part of the key.  None (the default) means
+      never replay.
     * ``steady_counters()`` lists ``(object, attribute names)`` pairs of
       the integer counters an edge may advance.
     * ``steady_stages()`` lists the :class:`~repro.sim.fastpath.Stage`

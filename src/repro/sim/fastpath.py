@@ -52,25 +52,58 @@ component is ``quiescent()``: if so, the idle window is skipped at once
 (all but the last whole pass, each component's ``idle_advance`` adding
 its idle counters).  Otherwise it may start an *observation* -- at the
 first such check, then after twice as many checks each time one fails.
-At each pass boundary an observation records the tuple of every adopted
-component's ``steady_key()`` (its control state without payload; see
-:class:`~repro.sim.clock.ClockedComponent` for the contract) plus a flat
-snapshot of the counters they declare.  When the tuple repeats after
-P <= :data:`MAX_PERIOD_PASSES` passes, the counter deltas over those P
-passes are one period's, and all but the last whole period left before
-the window limit are *replayed* in one step; that last period and any
-partial tail are dispatched normally.  Replaying K periods applies
-exactly what dispatching them would have:
+
+*Period search.*  At each pass boundary an observation records the tuple
+of every adopted component's ``steady_key()`` (its control state without
+payload; see :class:`~repro.sim.clock.ClockedComponent` for the
+contract), each FIFO's occupancy and a flat snapshot of the counters the
+components declare.  A key holds a FIFO's occupancy only as the FIFO
+itself (:meth:`~repro.sim.fifo.SyncFifo.steady_key`), so the tuple is
+the *control* part of the state and the occupancies are read beside it.
+The observation maps each tuple to the pass it was seen at last; every
+earlier pass with the same tuple, at most :data:`MAX_PERIOD_PASSES`
+back, is a candidate period P, shortest first.  It holds only the last
+:data:`HISTORY_PASSES` records, sliding forward past a start-up
+transient instead of giving up, and fails after :data:`OBSERVE_PASSES`
+passes without a replay.
+
+*Drift.*  When every occupancy is also equal P passes apart the state
+repeats, and all but the last whole period left before the window
+limit are *replayed* in one step.  Otherwise each FIFO's occupancy
+moves by some d_i per period -- a slow stage filling its input, a
+source filling its FIFO against back-pressure, a chain draining.  Such a
+period is accepted when the control part and every d_i, counter delta
+and histogram-bucket delta repeat over two periods, and only FIFOs a
+stage carries words through drift.  It is the periodic case with a
+shift: as long as no edge sees an occupancy on the other side of a
+threshold it reads, every edge decides as it did one period earlier.
+
+*Bounds.*  So a drifting replay stops early.  Within each pass of the
+last period a FIFO's occupancy stays within the pass boundary's minus
+that pass's pops and plus its pushes; each replayed period repeats that
+excursion d_i further on.  K periods are replayed only while every
+drifting FIFO's excursions stay between the same two of its
+thresholds: empty, the feedback-full threshold
+(``capacity - almost_full_slack``), full and each
+``repro_fifo_occupancy`` bucket bound (see :func:`_drift_bound`).
+After a replay cut short by such a bound, dispatching resumes and the
+observation starts over, so the next segment of a ramp replays too.
+
+Replaying K periods applies exactly what dispatching them would have:
 
 * payload moves through :class:`Stage` delay lines, each writer before
-  its reader: a FIFO or a channel's forward registers pass on the oldest
-  K x delta of (current contents + words entering) and keep the rest in
-  the same valid positions; a module runs ``process`` over its input in
-  order behind its in-flight word and ahead of its pending outputs; a
-  source pulls its words before anything else mutates and hands back
-  any surplus, so the source runs dry on the edge the heap kernel sees;
-* every declared counter, histogram bucket included, advances by
-  K x delta;
+  its reader: a FIFO takes K x pushes words at its tail and gives up
+  its K x pops oldest; a channel's forward registers pass on the oldest
+  words of (in-flight + words entering) and keep the rest in the same
+  valid positions; a module runs ``process`` over its input in order
+  behind its in-flight word and ahead of its pending outputs; a source
+  pulls its words before anything else mutates and hands back any
+  surplus, so the source runs dry on the edge the heap kernel sees;
+* every declared counter and histogram bucket advances by K x delta; a
+  histogram's ``sum`` by K x its last period's delta plus
+  d x pushes x K(K+1)/2, since each period's pushes land d words
+  higher; a rising FIFO that raised its ``max_occupancy`` in the last
+  period raises it by K x d;
 * per pending edge a time shift of K x P hyperperiods and a seq shift of
   K x P x D, where D = 2 x (edges per pass) is what one pass draws; the
   same draws, two events per edge and the edge count on the simulator
@@ -94,6 +127,7 @@ without redefining them, are never replayed or skipped.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappush
 from itertools import count
 from math import gcd
@@ -117,10 +151,10 @@ from repro.sim.kernel import (
     Event,
     SimulationError,
 )
+from repro.sim.fifo import SyncFifo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
     from repro.sim.clock import Clock
-    from repro.sim.fifo import SyncFifo
     from repro.sim.kernel import Simulator
 
 #: Hyperperiod tables with more merged edges than this fall back to the
@@ -134,8 +168,17 @@ MAX_TABLE_EDGES = 4096
 #: periodic (see the module docstring).
 SKIP_CHECK_PASSES = 16
 
-#: Longest period, in passes, an observation looks for.
-MAX_PERIOD_PASSES = 4
+#: Longest period, in passes, an observation looks for.  A credit loop
+#: held at its feedback-full threshold repeats every 14 passes.
+MAX_PERIOD_PASSES = 16
+
+#: Pass records an observation holds: enough to see two periods of the
+#: longest length, as a drifting period needs.  Older ones slide out.
+HISTORY_PASSES = 2 * MAX_PERIOD_PASSES + 1
+
+#: Passes an observation sees without a replay before it gives up (and
+#: the next one waits twice as many checks).
+OBSERVE_PASSES = 4 * MAX_PERIOD_PASSES
 
 #: Periods a replay applies per step; bounds its payload lists.
 REPLAY_CHUNK = 2048
@@ -172,7 +215,7 @@ class Replay:
         periods: int,
         span: int,
         delta: Dict[Tuple[int, str], int],
-        moves: Dict[Any, int],
+        moves: Dict[Any, Tuple[int, int]],
     ) -> None:
         #: whole periods this step replays
         self.periods = periods
@@ -191,38 +234,54 @@ class Replay:
         self._fed[fifo] = words
 
     def take(self, fifo: "SyncFifo") -> List[Any]:
-        """The words leaving ``fifo`` while the fed ones enter it."""
+        """The words leaving ``fifo`` while the fed ones enter it; a
+        drifting FIFO lets a different number leave than enter."""
         words = self._fed.pop(fifo, [])
-        if len(words) != self.periods * self._moves.get(fifo, 0):
+        pushes, pops = self._moves.get(fifo, (0, 0))
+        if len(words) != self.periods * pushes:
             raise SimulationError(
                 f"steady replay fed {len(words)} words into {fifo.name}, "
-                f"expected {self.periods * self._moves.get(fifo, 0)}"
+                f"expected {self.periods * pushes}"
             )
-        return fifo.replay(words)
+        return fifo.replay(words, self.periods * pops)
 
 
 class _Layout:
     """The replay view of the adopted components, built as an
     observation starts."""
 
-    __slots__ = ("keys", "fields", "hists", "fifo_at", "stages", "_order")
+    __slots__ = (
+        "keys", "fields", "fifos", "tracked", "checked", "fifo_at", "hists",
+        "hist_of", "stages", "_order",
+    )
 
     def __init__(self) -> None:
         #: bound ``steady_key`` of every adopted component
         self.keys: List[Callable[[], Any]] = []
-        #: ``(object, attribute)`` of every counter, flat
+        #: ``(object, attribute)`` of every counter, flat: the declared
+        #: ones, then each stage FIFO's ``pushes`` and ``pops``, then each
+        #: occupancy histogram's ``count`` (its ``sum`` drifts, see
+        #: :meth:`FastPathEngine._replay`)
         self.fields: List[Tuple[Any, str]] = []
-        #: bound occupancy histograms of the stage FIFOs (their ``count``
-        #: and ``sum`` are in :attr:`fields`)
+        #: every FIFO whose occupancy a key holds or a stage moves words
+        #: through, stage FIFOs first; a key holds it as the FIFO itself
+        #: (:meth:`~repro.sim.fifo.SyncFifo.steady_key`)
+        self.fifos: List["SyncFifo"] = []
+        self.tracked: set = set()
+        #: key tuples seen to hold no FIFO outside :attr:`tracked`
+        self.checked: set = set()
+        #: each stage FIFO's index in :attr:`fifos` and the index of its
+        #: ``pushes`` in :attr:`fields` (``pops`` follows)
+        self.fifo_at: List[Tuple[int, int]] = []
+        #: the bound occupancy histograms, each once
         self.hists: List[Any] = []
-        #: each stage FIFO and the index of its ``pushes`` (``pops``
-        #: follows)
-        self.fifo_at: List[Tuple[Any, int]] = []
+        #: per FIFO, the index of its histogram in :attr:`hists` or -1
+        self.hist_of: List[int] = []
         #: every component's stages
         self.stages: List[Stage] = []
         self._order: Any = None
 
-    def order(self, moves: Dict[Any, int]) -> Optional[List[Stage]]:
+    def order(self, moves: Dict[Any, Tuple[int, int]]) -> Optional[List[Stage]]:
         """:attr:`stages` with each FIFO's writer before its reader, or
         None when there is no such order (a cycle, two writers or readers
         on one FIFO) or a FIFO in ``moves`` lacks a writer or a reader."""
@@ -255,14 +314,76 @@ class _Layout:
                 if fifo is not None:
                     fifos[fifo] = None
         fields = layout.fields
-        for fifo in fifos:
-            layout.fifo_at.append((fifo, len(fields)))
+        for index, fifo in enumerate(fifos):
+            layout.fifo_at.append((index, len(fields)))
             fields += [(fifo, "pushes"), (fifo, "pops")]
+        keys = tuple([key() for key in layout.keys])
+        fifos.update(_fifos_in(keys, {}))
+        layout.checked.add(keys)
+        layout.fifos = list(fifos)
+        layout.tracked = set(fifos)
+        hists: Dict[int, int] = {}
+        for fifo in layout.fifos:
             hist = fifo._occ_hist
-            if hist is not None:
+            if hist is None:
+                layout.hist_of.append(-1)
+                continue
+            if id(hist) not in hists:
+                hists[id(hist)] = len(layout.hists)
                 layout.hists.append(hist)
-                fields += [(hist, "count"), (hist, "sum")]
+                fields.append((hist, "count"))
+            layout.hist_of.append(hists[id(hist)])
         return layout
+
+
+def _fifos_in(key: Any, found: Dict[Any, None]) -> Dict[Any, None]:
+    """Add to ``found`` every FIFO a (nested tuple) key holds."""
+    for part in key:
+        if type(part) is tuple:
+            _fifos_in(part, found)
+        elif isinstance(part, SyncFifo):
+            found[part] = None
+    return found
+
+
+class _Record(NamedTuple):
+    """One pass boundary as an observation saw it."""
+
+    #: every component's ``steady_key()``, FIFOs standing in for their
+    #: occupancies
+    keys: Tuple[Any, ...]
+    #: occupancy and ``max_occupancy`` of each :attr:`_Layout.fifos`
+    occupancy: List[int]
+    tops: List[int]
+    #: :attr:`_Layout.fields` values
+    values: List[int]
+    #: bucket counts and ``sum`` of each :attr:`_Layout.hists`
+    buckets: List[Tuple[int, ...]]
+    sums: List[Any]
+    #: the pass this key was seen at last, or -1
+    prev: int
+
+
+class _Watch:
+    """A running observation: the pass records of the last
+    :data:`HISTORY_PASSES` passes, and where each key was seen last."""
+
+    __slots__ = ("layout", "passes", "records", "seen", "resume")
+
+    def __init__(self) -> None:
+        self.layout: Any = None
+        #: passes observed since the observation (re)started
+        self.passes = 0
+        self.records: Dict[int, _Record] = {}
+        self.seen: Dict[Any, int] = {}
+        #: whether the last replay stopped at a FIFO bound, so the
+        #: observation goes on after it
+        self.resume = False
+
+    def restart(self) -> None:
+        self.passes = 0
+        self.records = {}
+        self.seen = {}
 
 
 def _writers_first(stages: List[Stage]) -> Any:
@@ -292,6 +413,67 @@ def _writers_first(stages: List[Stage]) -> Any:
             return False  # a cycle
         pending = waiting
     return order, {fifo for fifo in writer if fifo in reader}
+
+
+def _deltas(old: List[Any], new: List[Any]) -> List[Any]:
+    return [b - a for a, b in zip(old, new)]
+
+
+def _bucket_deltas(old: _Record, new: _Record) -> List[List[int]]:
+    return [_deltas(a, b) for a, b in zip(old.buckets, new.buckets)]
+
+
+def _excursion(passes: List[_Record], index: int, at: int) -> Tuple[int, int]:
+    """Bounds on the occupancy of stage FIFO ``index`` (``pushes`` at
+    field ``at``) at any instant of the period whose pass boundaries are
+    ``passes``: within a pass it starts at the boundary's and moves by at
+    most that pass's pushes up and pops down."""
+    low = high = passes[0].occupancy[index]
+    for begin, end in zip(passes, passes[1:]):
+        occupancy = begin.occupancy[index]
+        pushes = end.values[at] - begin.values[at]
+        pops = end.values[at + 1] - begin.values[at + 1]
+        low = min(low, occupancy - pops)
+        high = max(high, occupancy + pushes)
+    return max(0, low), high
+
+
+def _drift_bound(
+    fifo: "SyncFifo", drift: int, low: int, high: int, topped: bool
+) -> int:
+    """The most periods a FIFO whose occupancy moves by ``drift`` per
+    period may be replayed, given that it stayed within ``[low, high]``
+    during the last period, and whether that period raised its
+    ``max_occupancy``.
+
+    Each later period repeats the last one's excursion ``drift`` further
+    on.  Every edge decides the same as long as all those occupancies lie
+    between the same two thresholds: empty, the feedback-full threshold
+    (``capacity - almost_full_slack``), full, each
+    ``repro_fifo_occupancy`` bucket bound, and -- rising without having
+    raised ``max_occupancy`` in the last period -- the maximum so far.
+    0 when the last period's excursion already spans one.
+    """
+    capacity = fifo.capacity
+    floor = 0
+    ceiling = capacity
+    for edge in (1, capacity - fifo.almost_full_slack, capacity):
+        if edge <= low:
+            floor = max(floor, edge)
+        else:
+            ceiling = min(ceiling, edge - 1)
+    if fifo._occ_hist is not None:
+        table = fifo._occ_buckets
+        bucket = table[low]
+        floor = max(floor, bisect_left(table, bucket))
+        ceiling = min(ceiling, bisect_right(table, bucket) - 1)
+    if drift > 0 and not topped:
+        ceiling = min(ceiling, fifo.max_occupancy)
+    if high > ceiling:
+        return 0
+    if drift > 0:
+        return (ceiling - high) // drift
+    return (low - floor) // -drift
 
 
 class _ClockState:
@@ -330,7 +512,6 @@ class FastPathEngine:
         "_edges",
         "_bails",
         "_skipped",
-        "_layout",
         "_memo_key",
         "_memo_slots",
         "_memo_hyper",
@@ -345,9 +526,6 @@ class FastPathEngine:
         self._edges = 0
         self._bails = 0
         self._skipped = 0
-        #: the running observation's :class:`_Layout`, False when some
-        #: adopted component cannot be replayed
-        self._layout: Any = False
         self._memo_key: Optional[Tuple[Tuple[int, int], ...]] = None
         self._memo_slots: Optional[List[Tuple[int, List[int]]]] = None
         self._memo_hyper = 0
@@ -528,10 +706,10 @@ class FastPathEngine:
         passes = 0
         checks = 0
         backoff = 1
-        watch: Optional[List[Any]] = None
+        watch: Optional[_Watch] = None
         plan = None
         while True:
-            if watch is None and passes == SKIP_CHECK_PASSES:
+            if watch is None and passes >= SKIP_CHECK_PASSES:
                 passes = 0
                 whole = (limit - cycle + 1) // hyper
                 if whole > 1 and self._quiescent():
@@ -541,15 +719,16 @@ class FastPathEngine:
                     checks += 1
                     if checks >= backoff and whole > 2:
                         checks = 0
-                        watch = []
+                        watch = _Watch()
             if watch is not None:
                 advanced = self._observe(watch, cycle, hyper, limit, last_offset)
-                if advanced:
+                if advanced > 0:
+                    cycle += advanced * hyper
+                    if not watch.resume:
+                        watch = None
+                elif advanced < 0:
                     watch = None
-                    if advanced > 0:
-                        cycle += advanced * hyper
-                    else:
-                        backoff *= 2
+                    backoff *= 2
             passes += 1
             if plan is None:
                 plan = self._plan(slots, cycle)
@@ -642,7 +821,7 @@ class FastPathEngine:
 
     def _observe(
         self,
-        watch: List[Any],
+        watch: _Watch,
         cycle: int,
         hyper: int,
         limit: int,
@@ -650,96 +829,187 @@ class FastPathEngine:
     ) -> int:
         """Record the pass boundary at ``cycle``; replay if periodic.
 
-        Returns the passes replayed (> 0), 0 to keep watching, or -1 when
-        the observation failed.
+        Looks the keys up among the passes the observation still holds;
+        each earlier pass with the same keys, at most
+        :data:`MAX_PERIOD_PASSES` back, is a candidate period (shortest
+        first) for :meth:`_replay`.  Returns the passes replayed (> 0), 0
+        to keep watching, or -1 when the observation failed: it saw
+        :data:`OBSERVE_PASSES` passes without a replay, or fewer than two
+        whole passes are left.
         """
-        if not watch:
-            self._layout = _Layout.build(self._states) or False
-        layout = self._layout
+        layout = watch.layout
+        if layout is None:
+            layout = watch.layout = _Layout.build(self._states) or False
         if not layout:
             return -1
         keys = tuple([key() for key in layout.keys])
         if None in keys:
             return -1
-        values = [getattr(obj, name) for obj, name in layout.fields]
-        buckets = [tuple(hist.counts) for hist in layout.hists]
-        watch.append((keys, values, buckets))
-        last = len(watch) - 1
-        for first in range(last - 1, max(-1, last - 1 - MAX_PERIOD_PASSES), -1):
-            if watch[first][0] == keys:
-                return self._replay(
-                    layout, watch[first], watch[last], last - first,
-                    cycle, hyper, limit, last_offset,
-                )
-        if last >= MAX_PERIOD_PASSES or (limit - cycle + 1) // hyper < 2:
+        fifos = layout.fifos
+        hists = layout.hists
+        records = watch.records
+        n = watch.passes
+        first = watch.seen.get(keys, -1)
+        now = _Record(
+            keys,
+            [len(fifo._data) for fifo in fifos],
+            [fifo.max_occupancy for fifo in fifos],
+            [getattr(obj, name) for obj, name in layout.fields],
+            [tuple(hist.counts) for hist in hists],
+            [hist.sum for hist in hists],
+            first,
+        )
+        records[n] = now
+        records.pop(n - HISTORY_PASSES, None)
+        watch.seen[keys] = n
+        watch.passes = n + 1
+        while first >= 0 and n - first <= MAX_PERIOD_PASSES:
+            then = records.get(first)
+            if then is None:
+                break
+            advanced, bounded = self._replay(
+                layout, records, first, n, cycle, hyper, limit, last_offset
+            )
+            if advanced:
+                watch.resume = bounded
+                if bounded:
+                    watch.restart()
+                return advanced
+            first = then.prev
+        if watch.passes >= OBSERVE_PASSES or (limit - cycle + 1) // hyper < 2:
             return -1
         return 0
 
     def _replay(
         self,
         layout: _Layout,
-        then: Tuple[Any, List[int], List[Tuple[int, ...]]],
-        now: Tuple[Any, List[int], List[Tuple[int, ...]]],
-        period: int,
+        records: Dict[int, _Record],
+        first: int,
+        last: int,
         cycle: int,
         hyper: int,
         limit: int,
         last_offset: int,
-    ) -> int:
-        """Replay all but the last whole ``period``-pass period left
-        before ``limit``, given the boundary records one period apart.
-        Returns the passes replayed, or -1 when there is nothing to do or
-        the words move where no stage can carry them."""
+    ) -> Tuple[int, bool]:
+        """Replay K whole periods of P = ``last - first`` passes, given
+        the records of every pass from ``first`` to ``last`` (whose keys
+        are equal) and of the pass a period before ``first``, if the
+        observation still holds it.
+
+        With every occupancy equal at ``then`` and ``now`` the state
+        repeats, and K is all but the last whole period left before
+        ``limit``.  Otherwise the FIFOs drift: the period is accepted
+        only when ``earlier`` has the same keys and every occupancy,
+        counter and bucket moved by the same amount over both periods,
+        and K is further bounded by :func:`_drift_bound`.  Returns the
+        passes replayed -- 0 when this is no period to replay (yet), -1
+        when there is nothing to do or the words move where no stage can
+        carry them -- and whether a drift bound cut the replay short.
+        """
+        period = last - first
+        then = records[first]
+        now = records[last]
+        earlier = records.get(first - period)
+        fifos = layout.fifos
+        drift = [b - a for a, b in zip(then.occupancy, now.occupancy)]
+        drifting = any(drift)
+        if drifting and (
+            earlier is None
+            or earlier.keys != now.keys
+            or drift != [b - a for a, b in zip(earlier.occupancy, then.occupancy)]
+            or _deltas(earlier.values, then.values)
+            != _deltas(then.values, now.values)
+            or _bucket_deltas(earlier, then) != _bucket_deltas(then, now)
+        ):
+            return 0, False
+        if now.keys not in layout.checked:
+            # a key's shape can change inside a window (a module halts)
+            if not _fifos_in(now.keys, {}).keys() <= layout.tracked:
+                return -1, False
+            layout.checked.add(now.keys)
         span = period * hyper
         total = (limit - cycle + 1) // span - 1
         if total < 1:
-            return -1
+            return -1, False
         fields = layout.fields
-        delta = [b - a for a, b in zip(then[1], now[1])]
-        moves: Dict[Any, int] = {}
-        for fifo, at in layout.fifo_at:
-            if delta[at] or delta[at + 1]:
-                if delta[at] != delta[at + 1]:
-                    return -1
-                moves[fifo] = delta[at]
+        delta = _deltas(then.values, now.values)
+        moves: Dict[Any, Tuple[int, int]] = {}
+        pushes = [0] * len(fifos)
+        for index, at in layout.fifo_at:
+            push, pop = delta[at], delta[at + 1]
+            if push - pop != drift[index]:
+                return -1, False  # cleared, or moved by something else
+            if push or pop:
+                moves[fifos[index]] = (push, pop)
+                pushes[index] = push
+        if any(drift[len(layout.fifo_at) :]):
+            return -1, False  # words pile up where no stage carries them
+        # a histogram's sum grows by d x pushes more in each period
+        bounded = False
+        growth = [0] * len(layout.hists)
+        for index, hist in enumerate(layout.hist_of):
+            if hist >= 0:
+                growth[hist] += drift[index] * pushes[index]
+        sums = _deltas(then.sums, now.sums)
+        if drifting:
+            if _deltas(_deltas(earlier.sums, then.sums), sums) != growth:
+                return 0, False
+            passes = [records[p] for p in range(first, last + 1)]
+            for index, at in layout.fifo_at:
+                d = drift[index]
+                if d:
+                    low, high = _excursion(passes, index, at)
+                    bound = _drift_bound(
+                        fifos[index], d, low, high,
+                        now.tops[index] > then.tops[index],
+                    )
+                    if bound < total:
+                        total = bound
+                        bounded = True
+            if total < 1:
+                return 0, False
         stages: List[Stage] = []
         if moves:
             order = layout.order(moves)
             if order is None:
-                return -1
+                return -1, False
             stages = order
         steps = [(obj, name, d) for (obj, name), d in zip(fields, delta) if d]
-        bucket_steps = [
-            (hist.counts, [b - a for a, b in zip(old, new)])
-            for hist, old, new in zip(layout.hists, then[2], now[2])
-            if old != new
-        ]
         lookup = {(id(obj), name): d for obj, name, d in steps} if moves else {}
         done = 0
-        while done < total:
-            periods = total - done
-            if moves:  # in steps, so the payload lists stay bounded
-                want = min(REPLAY_CHUNK, periods)
-                step = Replay(want, span, lookup, moves)
-                for stage in stages:
-                    if stage.pull is not None:
-                        step.periods = min(step.periods, stage.pull(step))
-                for stage in stages:
-                    stage.replay(step)
-                periods = step.periods
-                if periods < want:
-                    total = done + periods  # a source ran dry
-            for obj, name, d in steps:
-                setattr(obj, name, getattr(obj, name) + periods * d)
-            for counts, diffs in bucket_steps:
-                for index, d in enumerate(diffs):
-                    if d:
-                        counts[index] += periods * d
-            done += periods
+        while moves and done < total:  # in steps, so payload lists stay bounded
+            want = min(REPLAY_CHUNK, total - done)
+            step = Replay(want, span, lookup, moves)
+            for stage in stages:
+                if stage.pull is not None:
+                    step.periods = min(step.periods, stage.pull(step))
+            for stage in stages:
+                stage.replay(step)
+            done += step.periods
+            if step.periods < want:
+                total = done  # a source ran dry
+                bounded = False
+        if not moves:
+            done = total
         if not done:
-            return -1
+            return -1, False
+        for obj, name, d in steps:
+            setattr(obj, name, getattr(obj, name) + done * d)
+        for hist, old, new, base, more in zip(
+            layout.hists, then.buckets, now.buckets, sums, growth
+        ):
+            if old != new:
+                counts = hist.counts
+                for index, (a, b) in enumerate(zip(old, new)):
+                    if a != b:
+                        counts[index] += done * (b - a)
+            if base or more:
+                hist.sum += done * base + more * done * (done + 1) // 2
+        for index, d in enumerate(drift):
+            if d > 0 and now.tops[index] > then.tops[index]:
+                fifos[index].max_occupancy += done * d
         self._advance(done * period, cycle, hyper, last_offset)
-        return done * period
+        return done * period, bounded
 
     def _advance(
         self, passes: int, cycle: int, hyper: int, last_offset: int

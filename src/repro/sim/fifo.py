@@ -199,27 +199,28 @@ class SyncFifo:
     # steady-state replay (repro.sim.fastpath)
     # ------------------------------------------------------------------
     def steady_key(self) -> Hashable:
-        """Occupancy, for a component's ``steady_key``.  With the ECC
-        shadow armed the push count joins it, so the key repeats only
+        """This FIFO's part of a component's ``steady_key``: the FIFO
+        itself, which the replay engine reads as its occupancy and lets
+        drift from period to period.  With the ECC shadow armed the
+        occupancy and push count stand instead, so the key repeats only
         while no word moves; past drops join it so a new one breaks it."""
-        occupancy = len(self._data)
         if self._ecc is not None:
-            return (occupancy, self.pushes, self.drops)
-        return (occupancy, self.drops) if self.drops else occupancy
+            return (len(self._data), self.pushes, self.drops)
+        return (self, self.drops) if self.drops else self
 
-    def replay(self, entering: List[Any]) -> List[Any]:
-        """Delay-line shift: ``entering`` is pushed in order while as
-        many of the oldest words leave; returns the leavers.  Counters
+    def replay(self, entering: List[Any], leaving: int) -> List[Any]:
+        """Delay-line shift: ``entering`` is pushed in order while the
+        ``leaving`` oldest words leave; returns the leavers.  Counters
         are the replay engine's to advance."""
-        count = len(entering)
-        if not count:
-            return []
         data = self._data
+        if not leaving:
+            data.extend(entering)
+            return []
         words = list(data)
         words += entering
         data.clear()
-        data.extend(words[count:])
-        return words[:count]
+        data.extend(words[leaving:])
+        return words[:leaving]
 
     def drain(self) -> List[Any]:
         """Pop everything, returning the words in order."""

@@ -212,6 +212,8 @@ def test_committed_baseline_is_loadable_and_quick_mode():
         "fig5_steady_state",
         "fig5_steady_state_heap",
         "fig5_switch",
+        "multirate_steady_state",
+        "multirate_steady_state_heap",
         "fleet_steady_state",
         "fleet_steady_state_heap",
         "realtime_pipeline",

@@ -15,6 +15,7 @@ from repro.modules import Iom, MovingAverage
 from repro.modules.filters import MedianFilter
 from repro.modules.sources import ramp, sine_wave
 from repro.modules.transforms import Decimator
+from repro.sim.fastpath import FastPathEngine
 
 from tests.property.test_replay_fuzz import snapshot
 
@@ -174,3 +175,100 @@ def test_gated_consumer_counts_words_without_pushing():
     assert fast == heap
     assert heap["channels"][0][6] > 3_000  # words_gated on the way in
     assert share >= 0.9
+
+
+def halve_lcd(system, iom, module, channels):
+    system.prr("rsb0.prr0").bufgmux.select(1)
+
+
+def test_two_cycle_stage_fed_every_cycle_replays_fill_full_and_drain():
+    """A 2-cycle median filter behind a source pushing every cycle: its
+    consumer FIFO fills by one word per two passes, then the credit loop
+    holds it at the feedback-full threshold while the IOM FIFO fills up
+    and stays full; once the source runs dry both drain."""
+    heap, fast, share = twins(
+        20_000,
+        warmup=100,
+        module=lambda: MedianFilter("median", window=3),
+        source=lambda: ramp(count=8_000),
+        metrics=True,
+    )
+    assert fast == heap
+    assert heap["iom"][2] and len(heap["received"]) == 8_000
+    assert 512 in [fifo[4] for fifo in heap["fifos"]]  # max_occupancy
+    assert share >= 0.8
+
+
+def test_halved_lcd_replays():
+    heap, fast, share = twins(20_000, warmup=100, arm=halve_lcd, metrics=True)
+    assert fast == heap
+    assert len(heap["received"]) > 9_000
+    assert share >= 0.8
+
+
+def ramp_system(fastpath):
+    """The 2-cycle median chain of a 3,000-word source: the consumer FIFO
+    fills to its feedback-full threshold, the IOM FIFO fills, and after
+    the source runs dry both drain."""
+    system, iom, module, _ = steady_system(
+        fastpath,
+        module=lambda: MedianFilter("median", window=3),
+        source=lambda: ramp(count=3_000),
+        metrics=True,
+    )
+    return system, iom, module
+
+
+def source_fifo(system, iom):
+    return system.slot("rsb0.iom0").producers[0].fifo
+
+
+def stage_fifo(system, iom):
+    return system.slot("rsb0.prr0").consumers[0].fifo
+
+
+@pytest.mark.parametrize(
+    "fifo_of, reached",
+    [
+        (source_fifo, lambda fifo, iom: len(fifo) == fifo.capacity),
+        (stage_fifo, lambda fifo, iom: iom.source_exhausted and not len(fifo)),
+        (stage_fifo, lambda fifo, iom: fifo.almost_full),
+        (stage_fifo, lambda fifo, iom: len(fifo) > 256),
+    ],
+    ids=["fills", "empties", "feedback-full", "bucket"],
+)
+def test_drifting_replay_stops_short_of_a_fifo_threshold(
+    monkeypatch, fifo_of, reached
+):
+    """Replays on a ramp stop before the FIFO reaches the threshold (full,
+    empty, feedback-full, or the 256-word ``repro_fifo_occupancy``
+    bucket bound); dispatching takes it there, on the edge the heap
+    kernel does."""
+    system, iom, module = ramp_system(False)
+    fifo = fifo_of(system, iom)
+    cycles = 0
+    while not reached(fifo, iom):
+        system.run_for_cycles(1)
+        cycles += 1
+    results = [snapshot(system, iom, [module])]
+
+    replays = []
+    replay = FastPathEngine._replay
+
+    def recording(self, *args):
+        before = len(fifo)
+        advanced, bounded = replay(self, *args)
+        if advanced > 0:
+            replays.append((before, len(fifo), reached(fifo, iom)))
+        return advanced, bounded
+
+    monkeypatch.setattr(FastPathEngine, "_replay", recording)
+    for fastpath in (False, True):
+        system, iom, module = ramp_system(fastpath)
+        fifo = fifo_of(system, iom)
+        system.run_for_cycles(cycles)
+        assert reached(fifo, iom)
+        results.append(snapshot(system, iom, [module]))
+    assert results[0] == results[1] == results[2]
+    moving = [(a, b) for a, b, at in replays if a != b and not at]
+    assert moving and not any(at for _, _, at in replays)

@@ -362,8 +362,9 @@ def outputs(executor):
     return {job.spec.name: job.output_words for job in executor._jobs}
 
 
-def heal_two_stage_job(stage):
-    """Heal one stage of a streaming 2-stage chain (IOM at 0, PRRs 1-4)."""
+def heal_two_stage_job(stage, before=None):
+    """Heal one stage of a streaming 2-stage chain (IOM at 0, PRRs 1-4);
+    ``before(executor)`` runs just ahead of the heal."""
     params = SystemParameters(
         pr_speedup=20_000.0,
         rsbs=[
@@ -379,6 +380,8 @@ def heal_two_stage_job(stage):
     )
 
     def heal(executor, job):
+        if before is not None:
+            before(executor)
         executor._replace_module(job.assignment.prrs[stage])
 
     executor = ScriptedExecutor([(50, heal)], params=params, config=config)
@@ -406,6 +409,24 @@ def test_healing_an_interior_stage_evicts_with_the_move_refusal():
     assert job.state == "FAILED"  # max_fault_retries=0: no requeue
     assert "not an IOM" in job.failure_reason
     assert "healthy spare" not in job.failure_reason
+
+
+def test_switch_failing_after_releasing_its_input_evicts_cleanly():
+    """Streams the admission ledger does not know about hold both spare
+    PRRs' input lanes, so the heal's switch releases the stage's input
+    channel (step 4) and then finds no lanes for the new one.  The fault
+    eviction that follows must skip the released handle, not raise."""
+
+    def take_spare_inputs(executor):
+        executor.system.open_stream("rsb0.prr3", "rsb0.prr2")
+        executor.system.open_stream("rsb0.prr2", "rsb0.prr3")
+
+    job, executor = heal_two_stage_job(stage=1, before=take_spare_inputs)
+    assert executor.fig5_recoveries == 0
+    assert executor.fault_evictions == 1
+    assert job.state == "FAILED"  # max_fault_retries=0: no requeue
+    assert job.failure_reason == "faulted repeatedly: module replacement failed"
+    assert 50 <= job.words_out and job.words_out + job.words_lost <= 500
 
 
 def test_fault_eviction_leaves_no_words_for_the_slots_next_tenant():

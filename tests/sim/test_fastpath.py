@@ -19,7 +19,10 @@ from repro.comm.interfaces import ConsumerInterface, ProducerInterface
 from repro.modules.adapters import FslToStream, StreamToFsl
 from repro.modules.base import ModulePorts
 from repro.modules.transforms import PassThrough
+from repro.sim import fastpath
 from repro.sim.clock import Bufgmux, Clock, ClockedComponent, FixedSource
+from repro.sim.fastpath import FastPathEngine
+from repro.sim.fifo import SyncFifo
 from repro.sim.kernel import Simulator
 
 
@@ -419,3 +422,66 @@ def test_never_quiescent_module_is_dispatched_every_edge():
     fast = run_idle_module(lambda: StreamToFsl("s2f"), fastpath=True)
     assert fast[:3] == heap[:3]
     assert fast[3].fastpath_stats["skipped"] == 0
+
+
+class Counting(ClockedComponent):
+    """Never repeats: its count is its key."""
+
+    def __init__(self):
+        self.count = 0
+
+    def commit(self):
+        self.count += 1
+
+    def steady_key(self):
+        return self.count
+
+
+def test_never_repeating_window_observes_a_bounded_number_of_passes(
+    monkeypatch,
+):
+    observed = []
+    observe = FastPathEngine._observe
+
+    def counting(self, *args):
+        observed.append(args[1])
+        return observe(self, *args)
+
+    monkeypatch.setattr(FastPathEngine, "_observe", counting)
+    sim = Simulator(use_fastpath=True)
+    clk = Clock(sim, freq_hz=100e6, name="clk")
+    component = Counting()
+    clk.attach(component)
+    clk.start()
+    cycles = 100_000
+    sim.run_until(cycles * clk.period_ps)
+    assert component.count == cycles
+    assert sim.fastpath_stats["skipped"] == 0
+    # observations back off by doubling, each at most OBSERVE_PASSES long
+    checks = cycles // fastpath.SKIP_CHECK_PASSES
+    assert 0 < len(observed) <= fastpath.OBSERVE_PASSES * checks.bit_length()
+
+
+@pytest.mark.parametrize(
+    "metrics, drift, low, high, top, periods",
+    [
+        (False, 1, 10, 12, 12, 47),  # up to the feedback-full threshold
+        (False, -1, 10, 12, 12, 9),  # down to one word left
+        (False, 1, 10, 12, 30, 18),  # up to the maximum so far
+        (False, 2, 58, 59, 59, 0),  # already at feedback-full
+        (True, 1, 10, 12, 12, 4),  # up to the 16-word bucket bound
+        (True, -1, 10, 12, 12, 1),  # down to the 8-word bucket bound
+        (True, 1, 7, 10, 10, 0),  # the excursion spans a bucket bound
+    ],
+)
+def test_drift_bound_stops_short_of_every_threshold(
+    metrics, drift, low, high, top, periods
+):
+    from repro.obs.metrics import MetricsRegistry
+
+    fifo = SyncFifo(64, almost_full_slack=4)
+    if metrics:
+        fifo.bind_metrics(MetricsRegistry())
+    fifo.max_occupancy = top
+    topped = top == high
+    assert fastpath._drift_bound(fifo, drift, low, high, topped) == periods
