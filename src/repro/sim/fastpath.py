@@ -698,7 +698,8 @@ class FastPathEngine:
         ``limit`` are skipped by :meth:`_skip_idle`.  Otherwise an
         observation may start (:meth:`_observe`): at the first such check,
         then after twice as many checks each time one fails.  When it
-        finds a period, all but the last whole period left are replayed.
+        finds a period, all but the last whole period left are replayed,
+        or fewer when a FIFO drifts, after which the observation goes on.
         """
         states = self._states
         last_offset = slots[-1][0]
@@ -864,9 +865,6 @@ class FastPathEngine:
         watch.seen[keys] = n
         watch.passes = n + 1
         while first >= 0 and n - first <= MAX_PERIOD_PASSES:
-            then = records.get(first)
-            if then is None:
-                break
             advanced, bounded = self._replay(
                 layout, records, first, n, cycle, hyper, limit, last_offset
             )
@@ -875,7 +873,7 @@ class FastPathEngine:
                 if bounded:
                     watch.restart()
                 return advanced
-            first = then.prev
+            first = records[first].prev
         if watch.passes >= OBSERVE_PASSES or (limit - cycle + 1) // hyper < 2:
             return -1
         return 0
