@@ -242,7 +242,8 @@ def test_drifting_replay_stops_short_of_a_fifo_threshold(
 ):
     """Replays on a ramp stop before the FIFO reaches the threshold (full,
     empty, feedback-full, or the 256-word ``repro_fifo_occupancy``
-    bucket bound); dispatching takes it there, on the edge the heap
+    bucket bound), each leaving the FIFO as the heap kernel has it at
+    that instant; dispatching then takes it there, on the edge the heap
     kernel does."""
     system, iom, module = ramp_system(False)
     fifo = fifo_of(system, iom)
@@ -250,25 +251,42 @@ def test_drifting_replay_stops_short_of_a_fifo_threshold(
     while not reached(fifo, iom):
         system.run_for_cycles(1)
         cycles += 1
-    results = [snapshot(system, iom, [module])]
+    stepped = snapshot(system, iom, [module])
 
-    replays = []
+    replays = []  # (instant, FIFO state) right after each replay
     replay = FastPathEngine._replay
 
     def recording(self, *args):
-        before = len(fifo)
         advanced, bounded = replay(self, *args)
         if advanced > 0:
-            replays.append((before, len(fifo), reached(fifo, iom)))
+            replays.append((self.sim.now, fifo_state(fifo)))
         return advanced, bounded
 
     monkeypatch.setattr(FastPathEngine, "_replay", recording)
-    for fastpath in (False, True):
-        system, iom, module = ramp_system(fastpath)
-        fifo = fifo_of(system, iom)
-        system.run_for_cycles(cycles)
-        assert reached(fifo, iom)
-        results.append(snapshot(system, iom, [module]))
-    assert results[0] == results[1] == results[2]
-    moving = [(a, b) for a, b, at in replays if a != b and not at]
-    assert moving and not any(at for _, _, at in replays)
+    system, iom, module = ramp_system(True)
+    fifo = fifo_of(system, iom)
+    system.run_for_cycles(cycles)
+    assert reached(fifo, iom)
+    fast = snapshot(system, iom, [module])
+
+    system, iom, module = ramp_system(False)
+    heap_fifo = fifo_of(system, iom)
+    system.start()
+    end = system.sim.now + cycles * system.system_clock.period_ps
+    for now, state in replays:
+        system.sim.run_until(now)
+        assert fifo_state(heap_fifo) == state
+        assert not reached(heap_fifo, iom)
+    system.sim.run_until(end)
+    assert fast == snapshot(system, iom, [module]) == stepped
+    occupancies = {state[0] for _, state in replays}
+    assert len(occupancies) > 1  # the replays moved the FIFO
+
+
+def fifo_state(fifo):
+    """Occupancy, counters and occupancy histogram of ``fifo``."""
+    hist = fifo._occ_hist
+    return (
+        len(fifo), fifo.pushes, fifo.pops, fifo.max_occupancy,
+        list(hist.counts), hist.sum, hist.count,
+    )
