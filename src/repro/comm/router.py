@@ -7,6 +7,9 @@ programs each box's output multiplexer.  If any hop is exhausted the
 partial allocation is rolled back and the attempt fails -- the API then
 returns 0, exactly as in the paper.
 
+A Figure 5 module switch *claims* its new routes first: an establish
+that would leave a claimed route unroutable is rolled back the same way.
+
 :class:`CommState` mirrors the ``comm_state`` structure the API threads
 through calls: a snapshot of lane availability per switch box.
 """
@@ -14,7 +17,7 @@ through calls: a snapshot of lane availability per switch box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.comm.channel import StreamingChannel, SwitchFabric
 from repro.comm.interfaces import ConsumerInterface, ProducerInterface
@@ -75,6 +78,8 @@ class ChannelRouter:
         self.fabric = fabric
         self._next_id = 0
         self._channel_hops: Dict[int, List[LaneRef]] = {}
+        #: routes claimed by :meth:`claim` and not yet dropped
+        self._claims: List[Tuple] = []
 
     # ------------------------------------------------------------------
     def establish(
@@ -90,8 +95,9 @@ class ChannelRouter:
 
         ``src_port``/``dst_port`` select which of the module's ``ko``
         producer / ``ki`` consumer lanes terminate the channel.  Raises
-        :class:`RoutingError` when a hop has no free lane; the partial
-        allocation is rolled back first.
+        :class:`RoutingError` when a hop has no free lane, or when the
+        channel would leave a claimed route unroutable; the allocation is
+        rolled back first.
         """
         self._check_index(src_box)
         self._check_index(dst_box)
@@ -101,6 +107,8 @@ class ChannelRouter:
             hops = self._allocate_path(
                 src_box, dst_box, channel_id, src_port, dst_port, hops
             )
+            if not all(self._claim_holds(claim) for claim in self._claims):
+                raise SwitchBoxError("lanes claimed by a module switch")
         except SwitchBoxError as exc:
             for ref in hops:
                 self.boxes[ref.box].release(ref)
@@ -185,8 +193,53 @@ class ChannelRouter:
             )
 
     # ------------------------------------------------------------------
-    def comm_state(self) -> CommState:
-        return CommState.snapshot(self.boxes)
+    def comm_state(
+        self, freeing: Iterable[Optional[StreamingChannel]] = ()
+    ) -> CommState:
+        """Lane availability, counting the lanes of the ``freeing``
+        channels (about to be released) as free."""
+        state = CommState.snapshot(self.boxes)
+        for channel in freeing:
+            if channel is None:
+                continue
+            for ref in self._channel_hops.get(channel.channel_id, ()):
+                if ref.direction == RIGHT:
+                    state.free_right[ref.box] += 1
+                elif ref.direction == LEFT:
+                    state.free_left[ref.box] += 1
+                else:
+                    state.free_module_out[ref.box] += 1
+        return state
+
+    def claim(
+        self,
+        src: int,
+        dst: int,
+        dst_port: int,
+        freeing: Iterable[Optional[StreamingChannel]] = (),
+    ) -> Optional[Tuple]:
+        """Reserve the route ``src -> dst`` into consumer lane
+        ``dst_port`` for an establish once ``freeing`` is released.
+
+        Returns None when the route cannot be routed now.  Until
+        :meth:`drop_claim`, :meth:`establish` refuses any channel that
+        would take the route's consumer lane or the last lane of a hop.
+        """
+        claim = (src, dst, dst_port, tuple(c for c in freeing if c is not None))
+        if not self._claim_holds(claim):
+            return None
+        self._claims.append(claim)
+        return claim
+
+    def drop_claim(self, claim: Tuple) -> None:
+        self._claims.remove(claim)
+
+    def _claim_holds(self, claim: Tuple) -> bool:
+        src, dst, dst_port, freeing = claim
+        freed = {None} | {channel.channel_id for channel in freeing}
+        return self.boxes[dst].owner_of(MODULE_OUT, dst_port) in freed and (
+            self.comm_state(freeing).can_route(src, dst)
+        )
 
     def hops_of(self, channel: StreamingChannel) -> List[LaneRef]:
         return list(self._channel_hops.get(channel.channel_id, []))

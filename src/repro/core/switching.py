@@ -30,6 +30,14 @@ drains into the old module before release -- in hardware the in-flight
 registered words would keep flowing to the old consumer, in this model a
 released channel drops them, so the explicit drain keeps the protocol
 loss-free (the report asserts zero lost words).
+
+The switch is failure-atomic: it either refuses with nothing paused or
+released, or completes.  It refuses before step 1 on any error-severity
+precondition finding (``repro.verify``, ``VAP3xx``), and at step 4 --
+after step 3's reconfiguration, before the upstream pause -- when the
+switch-box lanes for the new input or output channel have been taken
+meanwhile (``VAP303``).  Step 4 claims both new routes in the router,
+which then refuses any other channel that would take their lanes.
 """
 
 from __future__ import annotations
@@ -47,28 +55,8 @@ from repro.modules.iom import CMD_ARM_EOS, MSG_EOS
 StepObserver = Callable[[int, int, str], None]
 
 
-class SwitchError(RuntimeError):
-    """A switch that failed after it released a channel: ``report`` holds
-    the steps done, the words lost so far and the channels established."""
-
-    def __init__(self, message: str, report: "SwitchReport") -> None:
-        super().__init__(message)
-        self.report = report
-
-
-@dataclass
-class SwitchReport:
-    """Outcome of one module switch."""
-
-    old_prr: str
-    new_prr: str
-    new_module: str
-    steps: List[Tuple[int, int, str]] = field(default_factory=list)  # (step, ps, text)
-    reconfig_seconds: float = 0.0
-    state_words: List[int] = field(default_factory=list)
-    words_lost: int = 0
-    input_channel: Optional[StreamingChannel] = None
-    output_channel: Optional[StreamingChannel] = None
+class _Steps:
+    """Timing of a report's ``steps``: ``(step, time_ps, text)`` tuples."""
 
     @property
     def start_ps(self) -> int:
@@ -81,6 +69,21 @@ class SwitchReport:
     @property
     def duration_seconds(self) -> float:
         return (self.end_ps - self.start_ps) / 1e12
+
+
+@dataclass
+class SwitchReport(_Steps):
+    """Outcome of one module switch."""
+
+    old_prr: str
+    new_prr: str
+    new_module: str
+    steps: List[Tuple[int, int, str]] = field(default_factory=list)  # (step, ps, text)
+    reconfig_seconds: float = 0.0
+    state_words: List[int] = field(default_factory=list)
+    words_lost: int = 0
+    input_channel: Optional[StreamingChannel] = None
+    output_channel: Optional[StreamingChannel] = None
 
     def describe(self) -> str:
         lines = [
@@ -95,7 +98,7 @@ class SwitchReport:
 
 
 @dataclass
-class DrainReport:
+class DrainReport(_Steps):
     """Outcome of draining a stream out of a PRR (eviction path).
 
     The runtime's preemption uses the same Figure 5 machinery as a switch
@@ -109,18 +112,6 @@ class DrainReport:
     steps: List[Tuple[int, int, str]] = field(default_factory=list)
     state_words: List[int] = field(default_factory=list)
     words_lost: int = 0
-
-    @property
-    def start_ps(self) -> int:
-        return self.steps[0][1] if self.steps else 0
-
-    @property
-    def end_ps(self) -> int:
-        return self.steps[-1][1] if self.steps else 0
-
-    @property
-    def duration_seconds(self) -> float:
-        return (self.end_ps - self.start_ps) / 1e12
 
 
 def _require_eos_detector(downstream, name: str) -> None:
@@ -146,12 +137,9 @@ class ModuleSwitcher:
     primary slot's interfaces.
     """
 
-    def __init__(self, system, strict_precheck: bool = False) -> None:
+    def __init__(self, system) -> None:
         self.system = system
         self.api = system.api
-        #: when True, the Figure 5 precondition check (``repro.verify``)
-        #: raises before the switch starts instead of only logging
-        self.strict_precheck = strict_precheck
         #: progress observers called per protocol step with
         #: ``(step, time_ps, text)``; the runtime's telemetry subscribes
         #: here to attribute switch latency to jobs
@@ -163,45 +151,41 @@ class ModuleSwitcher:
         except Exception:
             return self.system.prr(name)
 
-    def _precheck(
-        self,
-        old_prr: str,
-        new_prr: str,
-        new_module: str,
-        upstream_slot: str,
-        downstream_slot: str,
-        input_channel: StreamingChannel,
-        output_channel: StreamingChannel,
-        reconfig_path: str,
-    ) -> None:
-        """Figure 5 precondition check (``VAP3xx``) before step 1.
+    def _marker(self, report, prr: str, label: str) -> Callable[[int, str], None]:
+        """``mark(step, text)``: record a Figure 5 step of ``report``.
 
-        Diagnostics are logged to the simulation trace (category
-        ``"verify"``); with ``strict_precheck`` any error-severity finding
-        raises :class:`~repro.verify.diagnostics.VerificationError`
-        instead of letting the switch fail halfway through.
+        Each step becomes a span covering the interval since the previous
+        step (backdated begin: the boundary is only known once the step
+        completes), a latency sample, a log line and an observer call.
         """
-        # deferred import: verify imports core types
-        from repro.verify.diagnostics import VerifyReport
-        from repro.verify.switching import SwitchPlan, check_switch
+        sim = self.system.sim
+        track = f"prr/{prr}"
+        start_ps = sim.now
 
-        plan = SwitchPlan(
-            old_prr=old_prr,
-            new_prr=new_prr,
-            new_module=new_module,
-            upstream_slot=upstream_slot,
-            downstream_slot=downstream_slot,
-            input_channel=input_channel,
-            output_channel=output_channel,
-            reconfig_path=reconfig_path,
-        )
-        diagnostics = check_switch(self.system, plan)
+        def mark(step: int, text: str) -> None:
+            prev = report.steps[-1][1] if report.steps else start_ps
+            report.steps.append((step, sim.now, text))
+            sim.log("switch", f"{label} {step}: {text}", prr=prr)
+            sim.tracer.begin(
+                f"step {step}", category="switch", track=track,
+                attrs={"text": text}, time_ps=prev,
+            )
+            sim.tracer.end_if_open(f"step {step}", track=track)
+            sim.metrics.histogram(
+                "repro_switch_step_latency_us", labels={"step": str(step)}
+            ).observe((sim.now - prev) / 1e6)
+            for observer in self.on_step:
+                observer(step, sim.now, text)
+
+        return mark
+
+    def _log_and_raise(self, location: str, diagnostics) -> None:
+        """Log ``diagnostics`` to the trace; raise on any error."""
+        from repro.verify.diagnostics import VerifyReport
+
         for diagnostic in diagnostics:
             self.system.sim.log("verify", str(diagnostic))
-        if self.strict_precheck:
-            report = VerifyReport(subject=plan.location)
-            report.extend(diagnostics)
-            report.raise_on_errors()
+        VerifyReport(location, list(diagnostics)).raise_on_errors()
 
     def switch(
         self,
@@ -220,44 +204,32 @@ class ModuleSwitcher:
 
         ``input_channel`` currently feeds the old module from
         ``upstream_slot``; ``output_channel`` carries the old module's
-        output to ``downstream_slot``.  Returns a :class:`SwitchReport`.
+        output to ``downstream_slot``.  Returns a :class:`SwitchReport`,
+        or raises :class:`~repro.verify.diagnostics.VerificationError`
+        before step 1 or at step 4 with nothing paused or released.
         """
-        sim = self.system.sim
-        self._precheck(
+        # deferred import: verify imports core types
+        from repro.verify.switching import SwitchPlan, check_switch, no_lanes
+
+        # Figure 5 precondition check (VAP3xx) before step 1
+        plan = SwitchPlan(
             old_prr, new_prr, new_module, upstream_slot, downstream_slot,
             input_channel, output_channel, reconfig_path,
         )
+        location = plan.location
+        self._log_and_raise(location, check_switch(self.system, plan))
+        sim = self.system.sim
         old_slot = self.system.prr(old_prr)
         new_slot = self._resolve_target(new_prr)
         upstream = self.system.slot(upstream_slot)
         downstream = self.system.slot(downstream_slot)
         old_module = old_slot.module
-        if old_module is None:
-            raise ValueError(f"PRR {old_prr!r} has no module to replace")
         _require_eos_detector(downstream, downstream_slot)
         report = SwitchReport(old_prr=old_prr, new_prr=new_prr, new_module=new_module)
         track = f"prr/{old_prr}"
-        span_name = f"switch {old_prr}->{new_module}@{new_prr}"
-        start_ps = sim.now
+        span_name = f"switch {location}"
         sim.tracer.begin(span_name, category="switch", track=track)
-
-        def mark(step: int, text: str) -> None:
-            # each Figure 5 step becomes a span covering the interval since
-            # the previous step (backdated begin: the boundary is only known
-            # once the step completes)
-            prev = report.steps[-1][1] if report.steps else start_ps
-            report.steps.append((step, sim.now, text))
-            sim.log("switch", f"step {step}: {text}", prr=old_prr)
-            sim.tracer.begin(
-                f"step {step}", category="switch", track=track,
-                attrs={"text": text}, time_ps=prev,
-            )
-            sim.tracer.end_if_open(f"step {step}", track=track)
-            sim.metrics.histogram(
-                "repro_switch_step_latency_us", labels={"step": str(step)}
-            ).observe((sim.now - prev) / 1e6)
-            for observer in self.on_step:
-                observer(step, sim.now, text)
+        mark = self._marker(report, old_prr, "step")
 
         mark(1, f"RSPS operating through {old_module.name} in {old_prr}")
         mark(2, "monitoring words flowing to the MicroBlaze")
@@ -276,25 +248,45 @@ class ModuleSwitcher:
         # for a spanning target, streaming endpoints use its primary slot
         new_endpoint = getattr(new_slot, "primary", new_slot)
 
-        # ---- step 4: re-point the input channel ------------------------
+        # ---- step 4: claim both new routes, re-point the input ---------
+        # lanes taken during step 3 refuse the switch here, before the
+        # upstream pause: the old module keeps streaming and the target
+        # PRR powers down; the claims keep lanes from going later
+        router = upstream.rsb.router
+        input_claim = router.claim(
+            upstream.position, new_endpoint.position, 0, [input_channel]
+        )
+        output_claim = router.claim(
+            new_endpoint.position, downstream.position, downstream_port,
+            [input_channel, output_channel],
+        )
+        if input_claim is None or output_claim is None:
+            routes = (
+                (input_claim, f"input channel {upstream_slot} -> {new_prr}"),
+                (output_claim, f"output channel {new_prr} -> {downstream_slot}"),
+            )
+            for claim, _ in routes:
+                if claim is not None:
+                    router.drop_claim(claim)
+            yield from self._power_down(new_endpoint)
+            sim.tracer.end_if_open(span_name, track=track)
+            self._log_and_raise(location, [
+                no_lanes(route, location)
+                for claim, route in routes if claim is None
+            ])
         # pause the upstream producer and let the pipeline drain into the
         # old consumer so that releasing the channel loses nothing
         yield from self.api.vapres_fifo_control(upstream.module_id, ren=False)
         yield Delay(2 * input_channel.d + 4)
         report.words_lost += yield from self.api.vapres_release_channel(input_channel)
-        new_input = yield from self.api.vapres_establish_channel(
+        router.drop_claim(input_claim)
+        report.input_channel = yield from self.api.vapres_establish_channel(
             None,
             upstream_slot,
             new_endpoint.name,
             src_port=upstream_port,
             dst_port=0,
         )
-        if new_input is None:
-            raise SwitchError(
-                f"no switch-box lanes available for {upstream_slot} -> {new_prr}",
-                report,
-            )
-        report.input_channel = new_input
         yield from self.api.vapres_fifo_control(upstream.module_id, ren=True)
         mark(4, f"input re-pointed: {upstream_slot} now feeds {new_prr} "
                 f"(buffering; {new_module} not yet started)")
@@ -333,26 +325,25 @@ class ModuleSwitcher:
         report.words_lost += yield from self.api.vapres_release_channel(
             output_channel
         )
-        new_output = yield from self.api.vapres_establish_channel(
+        router.drop_claim(output_claim)
+        report.output_channel = yield from self.api.vapres_establish_channel(
             None,
             new_endpoint.name,
             downstream_slot,
             src_port=0,
             dst_port=downstream_port,
         )
-        if new_output is None:
-            raise SwitchError(
-                f"no switch-box lanes available for {new_prr} -> {downstream_slot}",
-                report,
-            )
-        report.output_channel = new_output
         mark(9, f"{new_prr} connected to {downstream_slot}; switch complete")
 
         # housekeeping: power down the vacated PRR (not a numbered step)
-        yield from self.api.vapres_module_clock(old_slot.module_id, False)
-        yield from self.api.vapres_fifo_reset(old_slot.module_id)
+        yield from self._power_down(old_slot)
         sim.tracer.end_if_open(span_name, track=track)
         return report
+
+    def _power_down(self, slot) -> Generator:
+        """Gate ``slot``'s clock and reset its interface FIFOs."""
+        yield from self.api.vapres_module_clock(slot.module_id, False)
+        yield from self.api.vapres_fifo_reset(slot.module_id)
 
     # ------------------------------------------------------------------
     # eviction: Figure 5 drain path without a replacement module
@@ -362,8 +353,8 @@ class ModuleSwitcher:
         prr: str,
         upstream_slot: str,
         downstream_slot: str,
-        input_channel: Optional[StreamingChannel],
-        output_channel: Optional[StreamingChannel],
+        input_channel: StreamingChannel,
+        output_channel: StreamingChannel,
         pause_upstream: bool = True,
     ) -> Generator:
         """MicroBlaze software draining a stream out of ``prr``.
@@ -391,34 +382,18 @@ class ModuleSwitcher:
         report = DrainReport(prr=prr)
         track = f"prr/{prr}"
         span_name = f"drain {prr}"
-        start_ps = sim.now
         sim.tracer.begin(span_name, category="switch", track=track)
-
-        def mark(step: int, text: str) -> None:
-            prev = report.steps[-1][1] if report.steps else start_ps
-            report.steps.append((step, sim.now, text))
-            sim.log("switch", f"drain step {step}: {text}", prr=prr)
-            sim.tracer.begin(
-                f"step {step}", category="switch", track=track,
-                attrs={"text": text}, time_ps=prev,
-            )
-            sim.tracer.end_if_open(f"step {step}", track=track)
-            sim.metrics.histogram(
-                "repro_switch_step_latency_us", labels={"step": str(step)}
-            ).observe((sim.now - prev) / 1e6)
-            for observer in self.on_step:
-                observer(step, sim.now, text)
+        mark = self._marker(report, prr, "drain step")
 
         # ---- step 4 (drain variant): stop and release the input --------
         if pause_upstream:
             yield from self.api.vapres_fifo_control(
                 upstream.module_id, ren=False
             )
-        if input_channel is not None:
-            yield Delay(2 * input_channel.d + 4)
-            report.words_lost += yield from self.api.vapres_release_channel(
-                input_channel
-            )
+        yield Delay(2 * input_channel.d + 4)
+        report.words_lost += yield from self.api.vapres_release_channel(
+            input_channel
+        )
         mark(4, f"input stopped: {upstream_slot} no longer feeds {prr}")
 
         # ---- step 5: flush -- drain the consumer FIFO, emit EOS --------
@@ -441,14 +416,12 @@ class ModuleSwitcher:
                 break
         mark(8, f"{downstream_slot} reported end-of-stream from {prr}")
 
-        if output_channel is not None:
-            report.words_lost += yield from self.api.vapres_release_channel(
-                output_channel
-            )
+        report.words_lost += yield from self.api.vapres_release_channel(
+            output_channel
+        )
 
         # housekeeping: power down the vacated PRR
-        yield from self.api.vapres_module_clock(slot.module_id, False)
-        yield from self.api.vapres_fifo_reset(slot.module_id)
+        yield from self._power_down(slot)
         mark(9, f"{prr} drained and powered down")
         sim.tracer.end_if_open(span_name, track=track)
         return report

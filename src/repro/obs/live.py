@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.obs.export import _json_safe
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import INSTANT, SpanEvent
 
@@ -320,12 +321,6 @@ def stitch_span_events(
                 }
             records.append(record)
     return {"displayTimeUnit": "ms", "traceEvents": records}
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
 
 
 def stitch_chrome_trace_files(

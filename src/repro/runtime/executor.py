@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # deferred at runtime: repro.faults imports this module
 
 from repro.control.microblaze import DcrWrite, Delay
 from repro.core.params import SystemParameters
-from repro.core.switching import ModuleSwitcher, SwitchError
+from repro.core.switching import ModuleSwitcher
 from repro.core.system import VapresSystem
 from repro.modules.base import CMD_CHECKPOINT, CMD_START, MSG_CKPT, staged
 from repro.modules.iom import Iom
@@ -391,11 +391,11 @@ class JobExecutor:
         a faulted PRR, ``.rN`` modules) or ``"compact"`` (live
         compaction, ``.cN`` modules); it keys the module suffix, the
         counters, the admission-ledger update and the trace instant.
-        Returns False when the switch could not run (ICAP busy with a
-        non-preemptible transfer, or the software raised).  A switch that
-        raised after releasing the stage's input channel (step 4) leaves
-        that handle released in ``job.channels``, where vacating skips
-        it, and the words its release lost counted on the job.
+        Returns False when the switch could not run: the ICAP is busy
+        with a non-preemptible transfer, or the switch refused -- before
+        step 1 on a precondition finding, or at step 4 when the new
+        routes' lanes went during reconfiguration.  A refusal pauses and
+        releases nothing, so the stage keeps streaming where it is.
         """
         heal = reason == "heal"
         stage_index = job.assignment.prrs.index(old_prr)
@@ -434,8 +434,6 @@ class JobExecutor:
                 "runtime",
                 f"module switch off {old_prr} failed: {exc}",
             )
-            if isinstance(exc, SwitchError):
-                job.words_lost += exc.report.words_lost
             return False
         finally:
             self.scheduler.resume()
@@ -873,8 +871,7 @@ class JobExecutor:
             # the first stage's sample counter is exactly the number of
             # source words the chain processed
             consumed = self.system.slot(prrs[0]).module.samples_in
-            if not channels[0].released:
-                yield from api.vapres_release_channel(channels[0])
+            yield from api.vapres_release_channel(channels[0])
             lost = yield from self._strip_software(job, channels[1:], prrs)
             return states, consumed, lost
         # the upstream stages go cold one at a time, each stopped right
@@ -884,8 +881,7 @@ class JobExecutor:
         # order sets the words lost, and eviction accounting pins it
         lost = 0
         for index in range(len(prrs) - 1):
-            if not channels[index].released:
-                lost += yield from api.vapres_release_channel(channels[index])
+            lost += yield from api.vapres_release_channel(channels[index])
             slot = self.system.slot(prrs[index])
             yield from api.vapres_module_clock(slot.module_id, False)
             yield from api.vapres_fifo_reset(slot.module_id)
@@ -893,8 +889,7 @@ class JobExecutor:
             prrs[-1],
             upstream_slot=prrs[-2] if len(prrs) > 1 else assignment.iom,
             downstream_slot=assignment.iom,
-            # a failed switch may have released the input already
-            input_channel=None if channels[-2].released else channels[-2],
+            input_channel=channels[-2],
             output_channel=channels[-1],
             pause_upstream=len(prrs) == 1,
         )
@@ -913,8 +908,7 @@ class JobExecutor:
         api = self.system.api
         lost = 0
         for channel in channels:
-            if not channel.released:
-                lost += yield from api.vapres_release_channel(channel)
+            lost += yield from api.vapres_release_channel(channel)
         for prr in prrs:
             slot = self.system.slot(prr)
             yield from api.vapres_module_clock(slot.module_id, False)

@@ -1,10 +1,9 @@
 """Switching-protocol precondition checker (``VAP3xx``).
 
 :class:`~repro.core.switching.ModuleSwitcher` runs the paper's Figure 5
-nine-step methodology; a precondition violated halfway through (missing
-bitstream at step 3, exhausted switch-box lanes at step 4/9) leaves the
-system with a torn-down channel and a stalled stream.  This pass checks
-every precondition *before* the switch starts:
+nine-step methodology.  It runs this pass before step 1 and refuses on
+any error-severity finding, so a switch never starts against a violated
+precondition:
 
 * the replacement module fits the target PRR / spanning region (``VAP301``),
 * its partial bitstream is in the repository (``VAP302``),
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.comm.switchbox import LEFT, MODULE_OUT, RIGHT
 from repro.core.rsb import IomSlot, PrrSlot
 from repro.verify.diagnostics import Diagnostic, diag
 
@@ -56,24 +54,9 @@ class SwitchPlan:
         return f"{self.old_prr}->{self.new_module}@{self.new_prr}"
 
 
-def _restored_state(router, channels):
-    """Lane availability with the given channels' lanes handed back.
-
-    The switch releases its old channels before establishing new ones, so
-    feasibility must count those lanes as free again.
-    """
-    state = router.comm_state()
-    for channel in channels:
-        if channel is None:
-            continue
-        for ref in router.hops_of(channel):
-            if ref.direction == RIGHT:
-                state.free_right[ref.box] += 1
-            elif ref.direction == LEFT:
-                state.free_left[ref.box] += 1
-            elif ref.direction == MODULE_OUT:
-                state.free_module_out[ref.box] += 1
-    return state
+def no_lanes(route: str, location: str) -> Diagnostic:
+    """``VAP303``: no free switch-box lanes for the new channel ``route``."""
+    return _d("VAP303", f"no free switch-box lanes for the new {route}", location)
 
 
 def check_switch(system, plan: SwitchPlan) -> List[Diagnostic]:
@@ -244,24 +227,22 @@ def _check_paths(system, plan: SwitchPlan, endpoint, loc: str) -> List[Diagnosti
         return out
     # step 4 re-establishes the input while the old *output* channel still
     # holds its lanes; only the released input channel's lanes come back
-    state_in = _restored_state(router, [plan.input_channel])
+    state_in = router.comm_state(freeing=[plan.input_channel])
     if not state_in.can_route(upstream.position, endpoint.position):
-        out.append(_d(
-            "VAP303",
-            f"no free switch-box lanes for the new input channel "
-            f"{plan.upstream_slot} -> {plan.new_prr}",
-            loc,
+        out.append(no_lanes(
+            f"input channel {plan.upstream_slot} -> {plan.new_prr}", loc
         ))
-    # step 9 runs after the old output channel is released too; this is
-    # optimistic about lanes the new input channel consumed in between
-    state_out = _restored_state(
-        router, [plan.input_channel, plan.output_channel]
+    # step 9 runs after the old output channel is released too.  The new
+    # input (upstream -> new) established in between never competes with
+    # the new output (new -> downstream) for a lane: in one direction
+    # their spans [u, n) and [n, d) are disjoint, in opposite directions
+    # they draw on different lane pools, and their module-out lanes sit
+    # in different boxes -- so counting without it is exact
+    state_out = router.comm_state(
+        freeing=[plan.input_channel, plan.output_channel]
     )
     if not state_out.can_route(endpoint.position, downstream.position):
-        out.append(_d(
-            "VAP303",
-            f"no free switch-box lanes for the new output channel "
-            f"{plan.new_prr} -> {plan.downstream_slot}",
-            loc,
+        out.append(no_lanes(
+            f"output channel {plan.new_prr} -> {plan.downstream_slot}", loc
         ))
     return out

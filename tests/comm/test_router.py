@@ -150,3 +150,37 @@ def test_hops_of_released_channel_empty():
     assert len(router.hops_of(channel)) == 2
     router.release(channel)
     assert router.hops_of(channel) == []
+
+
+def test_comm_state_counts_freeing_lanes_as_free():
+    router, _, _ = make_router(n=3, kr=1, kl=1)
+    old = router.establish(0, 2, *endpoints())
+    assert not router.comm_state().can_route(0, 1)
+    state = router.comm_state(freeing=[old, None])
+    assert state.free_right == [1, 1, 1]
+    assert state.can_route(0, 1)
+
+
+def test_claim_refuses_only_conflicting_establishes():
+    router, _, _ = make_router(n=4, kr=1, kl=1, ki=2)
+    old = router.establish(0, 1, *endpoints())
+    claim = router.claim(0, 3, 0, freeing=[old])
+    assert claim is not None
+    # would take box 2's only right lane, which the claimed route needs
+    with pytest.raises(RoutingError, match="claimed"):
+        router.establish(2, 3, *endpoints(), dst_port=1)
+    # would take the claimed consumer lane, although another is free
+    with pytest.raises(RoutingError, match="claimed"):
+        router.establish(3, 3, *endpoints(), dst_port=0)
+    assert router.try_establish(3, 0, *endpoints()) is not None  # leftward
+    assert router.established_count == 2
+    router.release(old)
+    router.drop_claim(claim)
+    assert router.try_establish(0, 3, *endpoints()) is not None
+
+
+def test_claim_of_an_unroutable_route_is_refused():
+    router, _, _ = make_router(n=3, kr=1, kl=1)
+    router.establish(0, 2, *endpoints())
+    assert router.claim(0, 2, 0) is None
+    assert router.claim(2, 0, 0) is not None

@@ -7,13 +7,16 @@ from repro.core.switching import ModuleSwitcher
 from repro.modules import Iom, MovingAverage
 from repro.modules.base import staged
 from repro.modules.sources import sine_wave
+from repro.verify.diagnostics import VerificationError
 
 from tests.helpers import build_system
 
 
-def make_scenario(window=4, source_count=100_000):
-    """Filter A in prr0 streaming IOM->A->IOM; filter B registered."""
-    system = build_system(pr_speedup=500.0)
+def make_scenario(window=4, source_count=100_000, params=None,
+                  target="rsb0.prr1"):
+    """Filter A in prr0 streaming IOM->A->IOM; filter B registered for
+    ``target``."""
+    system = build_system(pr_speedup=500.0, params=params)
     iom = Iom("io0", source=sine_wave(count=source_count))
     system.attach_iom("rsb0.iom0", iom)
     filter_a = MovingAverage("filterA", window=window)
@@ -23,7 +26,7 @@ def make_scenario(window=4, source_count=100_000):
     system.register_module(
         "filterB", lambda: staged(MovingAverage("filterB", window=window))
     )
-    system.repository.preload_to_sdram("filterB", "rsb0.prr1")
+    system.repository.preload_to_sdram("filterB", target)
     return system, iom, filter_a, ch_in, ch_out
 
 
@@ -94,6 +97,17 @@ def test_switch_output_is_seamless():
     assert stats.max_gap_s < 5e-6
 
 
+def never_switched(count, window=4):
+    """The IOM output of a reference filter that is never switched."""
+    from repro.modules.state import from_u32, to_u32
+
+    reference = MovingAverage("ref", window=window)
+    return [
+        from_u32(to_u32(reference.process(to_u32(sample))))
+        for sample in sine_wave(count=count)
+    ]
+
+
 def test_switch_output_values_continuous():
     """Output across the boundary equals a never-switched reference run."""
     count = 3000
@@ -102,14 +116,7 @@ def test_switch_output_values_continuous():
     run_switch(system, ch_in, ch_out)
     system.run_for_us(60)
     switched_output = list(iom.received)
-
-    reference = MovingAverage("ref", window=4)
-    expected = []
-    from repro.modules.state import from_u32, to_u32
-
-    for sample in sine_wave(count=count):
-        expected.append(from_u32(to_u32(reference.process(to_u32(sample)))))
-    assert switched_output == expected[: len(switched_output)]
+    assert switched_output == never_switched(count)[: len(switched_output)]
     assert len(switched_output) > 2000
 
 
@@ -125,7 +132,7 @@ def test_switch_requires_resident_module():
     system, _, _, ch_in, ch_out = make_scenario()
     system.prr("rsb0.prr0").unload()
     switcher = ModuleSwitcher(system)
-    with pytest.raises(ValueError, match="no module"):
+    with pytest.raises(VerificationError, match="VAP304.*no module"):
         system.microblaze.run_to_completion(
             switcher.switch(
                 old_prr="rsb0.prr0",
@@ -138,6 +145,98 @@ def test_switch_requires_resident_module():
             ),
             "switch",
         )
+
+
+def test_switch_refuses_at_step_4_when_lanes_go_during_reconfiguration():
+    """A stream opened during step 3 takes the target's input lane: the
+    switch refuses at step 4, before the upstream pause, powers the
+    target down and leaves the old module streaming without a gap."""
+    count = 3000
+    system, iom, filter_a, ch_in, ch_out = make_scenario(source_count=count)
+    system.run_for_us(10)
+    switcher = ModuleSwitcher(system)
+    steps = []
+
+    def take_target_input(step, when, text):
+        steps.append(step)
+        if step == 3:
+            system.open_stream("rsb0.prr1", "rsb0.prr1")
+
+    switcher.on_step.append(take_target_input)
+    with pytest.raises(VerificationError, match="VAP303.*new input channel"):
+        system.microblaze.run_to_completion(
+            switcher.switch(
+                old_prr="rsb0.prr0",
+                new_prr="rsb0.prr1",
+                new_module="filterB",
+                upstream_slot="rsb0.iom0",
+                downstream_slot="rsb0.iom0",
+                input_channel=ch_in,
+                output_channel=ch_out,
+            ),
+            "switch",
+        )
+    assert steps == [1, 2, 3]
+    assert not ch_in.released and not ch_out.released
+    assert ch_in.producer.fifo_ren  # the upstream was never paused
+    assert not system.prr("rsb0.prr1").bufr.enabled  # target powered down
+    assert system.rsbs[0].router._claims == []
+    assert system.prr("rsb0.prr0").module is filter_a
+    system.run_for_us(60)
+    output = list(iom.received)
+    assert output == never_switched(count)[: len(output)]
+    assert len(output) > 2000
+    nominal = 1 / system.system_clock.frequency_hz
+    assert interruption_report(iom.receive_times, nominal).max_gap_s < 5e-6
+
+
+def test_switch_claims_its_output_lanes_until_step_9():
+    """Streams opened at step 5 that would leave the new output channel
+    no lane (kl=1: each takes the one left lane of a box the new output
+    crosses) are refused; the switch completes losing no word."""
+    from repro.comm.router import RoutingError
+    from repro.core.params import RsbParameters, SystemParameters
+
+    params = SystemParameters(rsbs=[RsbParameters(
+        name="rsb0", num_prrs=4, num_ioms=1, iom_positions=[0], kr=2, kl=1,
+    )])
+    count = 3000
+    system, iom, _, ch_in, ch_out = make_scenario(
+        source_count=count, params=params, target="rsb0.prr3"
+    )
+    system.run_for_us(10)
+    switcher = ModuleSwitcher(system)
+    refused = []
+
+    def take_output_lanes(step, when, text):
+        if step == 5:
+            for src, dst in (("rsb0.prr1", "rsb0.prr0"),
+                             ("rsb0.prr2", "rsb0.prr1")):
+                with pytest.raises(RoutingError, match="claimed"):
+                    system.open_stream(src, dst)
+                refused.append((src, dst))
+
+    switcher.on_step.append(take_output_lanes)
+    report = system.microblaze.run_to_completion(
+        switcher.switch(
+            old_prr="rsb0.prr0",
+            new_prr="rsb0.prr3",
+            new_module="filterB",
+            upstream_slot="rsb0.iom0",
+            downstream_slot="rsb0.iom0",
+            input_channel=ch_in,
+            output_channel=ch_out,
+        ),
+        "switch",
+    )
+    assert len(refused) == 2
+    assert [step for step, _, _ in report.steps] == list(range(1, 10))
+    assert report.words_lost == 0
+    assert system.rsbs[0].router._claims == []  # dropped by step 9
+    system.run_for_us(60)
+    output = list(iom.received)
+    assert output == never_switched(count)[: len(output)]
+    assert len(output) > 2000
 
 
 def test_switch_and_drain_refuse_a_downstream_without_an_iom():

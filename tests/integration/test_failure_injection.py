@@ -111,9 +111,9 @@ def test_monitoring_overflow_is_best_effort():
 
 
 def test_switch_with_wrong_channel_handles_are_rejected():
-    """Passing a released channel into the switcher fails loudly at the
-    release step instead of silently corrupting routing state."""
-    from repro.comm.router import RoutingError
+    """Passing a released channel into the switcher is refused before
+    step 1 (VAP303): nothing is written and the output stays routed."""
+    from repro.verify.diagnostics import VerificationError
 
     system = build_system(pr_speedup=1000.0)
     iom = Iom("io", source=sine_wave(count=100_000))
@@ -127,7 +127,8 @@ def test_switch_with_wrong_channel_handles_are_rejected():
     system.repository.preload_to_sdram("b", "rsb0.prr1")
     system.close_stream(ch_in)  # sabotage: handle already released
     system.run_for_us(5)
-    with pytest.raises(RoutingError, match="not established|released"):
+    writes, icap_bytes = system.dcr_bus.writes, system.icap.bytes_written
+    with pytest.raises(VerificationError, match="VAP303.*already released"):
         system.microblaze.run_to_completion(
             ModuleSwitcher(system).switch(
                 old_prr="rsb0.prr0",
@@ -140,6 +141,10 @@ def test_switch_with_wrong_channel_handles_are_rejected():
             ),
             "bad-switch",
         )
+    assert system.dcr_bus.writes == writes
+    assert system.icap.bytes_written == icap_bytes
+    assert not ch_out.released
+    assert ch_out.channel_id in system.rsbs[0].fabric.channels
 
 
 def test_module_exception_is_attributed():

@@ -1,6 +1,6 @@
 """Property tests: router allocation invariants under random workloads."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.channel import SwitchFabric
@@ -117,3 +117,29 @@ def test_path_shape_is_minimal(n, src, dst):
     assert [h.box for h in channel.hops[:-1]] == (
         list(range(src, dst)) if src < dst else list(range(src, dst, -1))
     )
+
+
+@given(
+    n=st.integers(3, 6),
+    kr=st.integers(1, 3),
+    kl=st.integers(1, 3),
+    ends=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+    reqs=requests,
+)
+@settings(max_examples=120, deadline=None)
+def test_new_input_never_changes_the_new_outputs_route(n, kr, kl, ends, reqs):
+    """A Figure-5 switch counts its new output's lanes without its new
+    input: the input (up -> new) and the output (new -> down) never
+    compete for a lane, so establishing the one never changes
+    `can_route` for the other.  In one direction their spans [up, new)
+    and [new, down) are disjoint, in opposite directions they draw on
+    different lane pools, and their module-out lanes sit in different
+    boxes."""
+    up, new, down = (end % n for end in ends)
+    assume(new not in (up, down))
+    router, _ = build(n, kr, kl)
+    for src, dst, _ in reqs:
+        router.try_establish(src % n, dst % n, *endpoints())
+    before = router.comm_state().can_route(new, down)
+    if router.try_establish(up, new, *endpoints()) is not None:
+        assert router.comm_state().can_route(new, down) == before

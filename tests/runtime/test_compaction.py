@@ -94,6 +94,53 @@ def test_relocated_outputs_match_undisturbed_runs(churn_runs):
             assert on_outputs[job.name] == off_outputs[job.name], job.name
 
 
+class TargetTakingExecutor(JobExecutor):
+    """Takes each compaction target's input lane behind admission's back
+    while the move reconfigures it (Figure-5 step 3), and gives it back
+    once the move returns."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.refused = 0
+        self.released_by_refusals = 0
+        self.taken = []
+        self.switcher.on_step.append(self._take_target_input)
+
+    def _take_target_input(self, step, when, text):
+        if step == 3:
+            self.taken.append(
+                self.system.open_stream(self.target, self.target)
+            )
+
+    def move_stage(self, job, old_prr, new_prr, reason):
+        self.target = new_prr
+        moved = super().move_stage(job, old_prr, new_prr, reason)
+        if not moved:
+            self.refused += 1
+            self.released_by_refusals += sum(
+                channel.released for channel in job.channels
+            )
+        while self.taken:
+            self.system.close_stream(self.taken.pop())
+        return moved
+
+
+def test_refused_compaction_move_keeps_every_word(churn_runs):
+    """A move whose switch refuses at step 4 stops the compaction pass
+    and leaves its job streaming where it was: every job still ends
+    DONE with the output of the run that never compacted."""
+    _, _, off_outputs = churn_runs["off"]
+    executor = TargetTakingExecutor(params=churn_params(), config=config("on"))
+    report = executor.run(jobs())
+    assert executor.refused >= 1
+    assert executor.released_by_refusals == 0
+    assert report.compaction_runs >= 1
+    assert report.compaction_moves == 0
+    assert all(j.state == "DONE" and j.words_lost == 0 for j in report.jobs)
+    for job in executor._jobs:
+        assert list(job.output_words) == off_outputs[job.spec.name]
+
+
 def test_compaction_observability(churn_runs):
     executor, _, _ = churn_runs["on"]
     metrics = executor.system.sim.metrics

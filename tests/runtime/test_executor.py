@@ -21,6 +21,7 @@ from repro.runtime import (
     StageSpec,
     StreamJob,
 )
+from repro.verify.diagnostics import VerificationError
 
 FAST = replace(SystemParameters.prototype(), pr_speedup=20_000.0)
 FAST_FIG7 = replace(SystemParameters.figure7(), pr_speedup=20_000.0)
@@ -411,18 +412,39 @@ def test_healing_an_interior_stage_evicts_with_the_move_refusal():
     assert "healthy spare" not in job.failure_reason
 
 
-def test_switch_failing_after_releasing_its_input_evicts_cleanly():
+def test_switch_refused_before_step_1_evicts_cleanly():
     """Streams the admission ledger does not know about hold both spare
-    PRRs' input lanes, so the heal's switch releases the stage's input
-    channel (step 4) and then finds no lanes for the new one.  The fault
-    eviction that follows must skip the released handle, not raise."""
+    PRRs' input lanes, so the heal's switch refuses before step 1
+    (VAP303) with neither of the stage's channels released; the fault
+    eviction that follows drains the stage as it was."""
+    refusals = []
 
     def take_spare_inputs(executor):
         executor.system.open_stream("rsb0.prr3", "rsb0.prr2")
         executor.system.open_stream("rsb0.prr2", "rsb0.prr3")
+        switch = executor.switcher.switch
+        steps = []
+        executor.switcher.on_step.append(lambda step, *_: steps.append(step))
+
+        def watched(**kwargs):
+            try:
+                return (yield from switch(**kwargs))
+            except VerificationError as exc:
+                refusals.append((
+                    exc, list(steps), kwargs["input_channel"].released,
+                    kwargs["output_channel"].released,
+                ))
+                raise
+
+        executor.switcher.switch = watched
 
     job, executor = heal_two_stage_job(stage=1, before=take_spare_inputs)
+    [(exc, steps, input_released, output_released)] = refusals
+    assert "VAP303" in str(exc)
+    assert steps == []
+    assert not input_released and not output_released
     assert executor.fig5_recoveries == 0
+    assert executor.fig5_samples_lost == 0
     assert executor.fault_evictions == 1
     assert job.state == "FAILED"  # max_fault_retries=0: no requeue
     assert job.failure_reason == "faulted repeatedly: module replacement failed"

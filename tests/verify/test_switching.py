@@ -128,28 +128,10 @@ def test_switcher_precheck_logs_to_trace(ready):
         input_channel=ch_in,
         output_channel=ch_out,
     )
-    # the precheck logs, then the switch itself rejects the empty PRR
-    with pytest.raises(ValueError, match="no module to replace"):
+    # the precheck logs every finding, then refuses on the error
+    with pytest.raises(VerificationError, match="VAP304"):
         next(generator)
     assert any(
         entry.category == "verify" and "VAP304" in entry.message
         for entry in system.sim.trace
     )
-
-
-def test_switcher_strict_precheck_raises(ready):
-    from repro.core.switching import ModuleSwitcher
-
-    system, ch_in, ch_out = ready
-    switcher = ModuleSwitcher(system, strict_precheck=True)
-    generator = switcher.switch(
-        old_prr="rsb0.prr1",
-        new_prr="rsb0.prr0",
-        new_module="filterB",
-        upstream_slot="rsb0.iom0",
-        downstream_slot="rsb0.iom0",
-        input_channel=ch_in,
-        output_channel=ch_out,
-    )
-    with pytest.raises(VerificationError, match="VAP304"):
-        next(generator)
