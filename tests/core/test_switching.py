@@ -30,8 +30,10 @@ def make_scenario(window=4, source_count=100_000, params=None,
     return system, iom, filter_a, ch_in, ch_out
 
 
-def run_switch(system, ch_in, ch_out, **overrides):
+def run_switch(system, ch_in, ch_out, observer=None, **overrides):
     switcher = ModuleSwitcher(system)
+    if observer is not None:
+        switcher.on_step.append(observer)
     kwargs = dict(
         old_prr="rsb0.prr0",
         new_prr="rsb0.prr1",
@@ -154,7 +156,6 @@ def test_switch_refuses_at_step_4_when_lanes_go_during_reconfiguration():
     count = 3000
     system, iom, filter_a, ch_in, ch_out = make_scenario(source_count=count)
     system.run_for_us(10)
-    switcher = ModuleSwitcher(system)
     steps = []
 
     def take_target_input(step, when, text):
@@ -162,20 +163,8 @@ def test_switch_refuses_at_step_4_when_lanes_go_during_reconfiguration():
         if step == 3:
             system.open_stream("rsb0.prr1", "rsb0.prr1")
 
-    switcher.on_step.append(take_target_input)
     with pytest.raises(VerificationError, match="VAP303.*new input channel"):
-        system.microblaze.run_to_completion(
-            switcher.switch(
-                old_prr="rsb0.prr0",
-                new_prr="rsb0.prr1",
-                new_module="filterB",
-                upstream_slot="rsb0.iom0",
-                downstream_slot="rsb0.iom0",
-                input_channel=ch_in,
-                output_channel=ch_out,
-            ),
-            "switch",
-        )
+        run_switch(system, ch_in, ch_out, observer=take_target_input)
     assert steps == [1, 2, 3]
     assert not ch_in.released and not ch_out.released
     assert ch_in.producer.fifo_ren  # the upstream was never paused
@@ -205,7 +194,6 @@ def test_switch_claims_its_output_lanes_until_step_9():
         source_count=count, params=params, target="rsb0.prr3"
     )
     system.run_for_us(10)
-    switcher = ModuleSwitcher(system)
     refused = []
 
     def take_output_lanes(step, when, text):
@@ -216,18 +204,9 @@ def test_switch_claims_its_output_lanes_until_step_9():
                     system.open_stream(src, dst)
                 refused.append((src, dst))
 
-    switcher.on_step.append(take_output_lanes)
-    report = system.microblaze.run_to_completion(
-        switcher.switch(
-            old_prr="rsb0.prr0",
-            new_prr="rsb0.prr3",
-            new_module="filterB",
-            upstream_slot="rsb0.iom0",
-            downstream_slot="rsb0.iom0",
-            input_channel=ch_in,
-            output_channel=ch_out,
-        ),
-        "switch",
+    report = run_switch(
+        system, ch_in, ch_out, observer=take_output_lanes,
+        new_prr="rsb0.prr3",
     )
     assert len(refused) == 2
     assert [step for step, _, _ in report.steps] == list(range(1, 10))
