@@ -317,12 +317,11 @@ def _fleet_steady(quick: bool, fastpath: bool) -> CaseResult:
     words = 300 if quick else 1_500
     runs = 6
     params = replace(SystemParameters.prototype(), pr_speedup=1000.0)
-    config = ExecutorConfig(
-        quantum_us=25.0, max_us=100_000.0, use_fastpath=fastpath
-    )
+    config = ExecutorConfig(quantum_us=25.0, max_us=100_000.0)
 
     def run_slice() -> Tuple[float, float]:
         executor = JobExecutor(params=params, config=config)
+        executor.system.sim.set_fastpath(fastpath)
         jobs = [
             StreamJob(
                 name="bench0",

@@ -235,12 +235,11 @@ class ModuleSwitcher:
         mark(2, "monitoring words flowing to the MicroBlaze")
 
         # ---- step 3: reconfigure the spare PRR while A keeps working --
+        # the precheck refused any path but these two (VAP302)
         if reconfig_path == "array2icap":
             transfer = yield from self.api.vapres_array2icap(new_module, new_prr)
-        elif reconfig_path == "cf2icap":
-            transfer = yield from self.api.vapres_cf2icap(new_module, new_prr)
         else:
-            raise ValueError(f"unknown reconfig path {reconfig_path!r}")
+            transfer = yield from self.api.vapres_cf2icap(new_module, new_prr)
         report.reconfig_seconds = transfer.duration_seconds
         mark(3, f"{new_prr} reconfigured with {new_module} "
                 f"({transfer.duration_seconds * 1e3:.2f} ms, overlapped)")

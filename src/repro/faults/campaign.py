@@ -17,10 +17,10 @@ microseconds, so histogram sums are exact and merge-order-independent.
 ``sim_us`` is only meaningful for a single shared simulator and is
 ``None`` in fleet mode (there it would sum separate simulators).
 
-Campaigns inherit the kernel fast path through
-:class:`~repro.runtime.executor.ExecutorConfig` (``use_fastpath``, on by
-default); the determinism contract is unaffected because the fast path
-replays the heap kernel's event order bit-identically.
+Campaigns run on the kernel fast path, which every
+:class:`~repro.sim.kernel.Simulator` enables by default; the determinism
+contract is unaffected because the fast path replays the heap kernel's
+event order bit-identically.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional
 from repro.core.params import SystemParameters
 from repro.pool.devices import DevicePool, PoolJob
 from repro.runtime.executor import ExecutorConfig
-from repro.runtime.jobs import JobError, StreamJob, as_job_source
+from repro.runtime.jobs import JobError, StreamJob
 from repro.runtime.telemetry import FleetReport, JobReport
 
 
@@ -42,7 +42,7 @@ def run_batch(
     """
     if workers < 1:
         raise JobError("workers must be >= 1")
-    specs = list(as_job_source(specs))
+    specs = list(specs)
     names = [spec.name for spec in specs]
     if len(names) != len(set(names)):
         raise JobError("fleet job names must be unique")

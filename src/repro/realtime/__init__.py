@@ -6,23 +6,17 @@ executor into a periodic, deadline-aware one:
 * :mod:`repro.realtime.specs` -- periodic/deadline job specs (period,
   relative deadline, stage DAG) with a schema-versioned JSON form and
   the frame-accounting math (which output words are due when);
-* :mod:`repro.realtime.checkpoint` -- placement-keyed ``Checkpoint``
-  blobs over the module state-register save/restore hooks, so a
-  preempted module resumes bit-exactly on the same or a compatible PRR;
 * :mod:`repro.realtime.edf` -- a preemptive earliest-deadline-first
   scheduler on top of :class:`~repro.runtime.executor.JobExecutor`,
-  evicting to checkpoint instead of restarting, with a
-  utilization-bound admission test;
+  with a utilization-bound admission test.  A preempted job is
+  suspended instead of restarted: the executor's quiescent drain
+  captures its module state words and source offset in a
+  :class:`~repro.runtime.jobs.ResumeState`, and a later placement
+  restores them bit-exactly on any PRR large enough for the stage;
 * :mod:`repro.realtime.workloads` -- a seeded vision-pipeline workload
   generator emitting realtime jobfiles at a target utilization.
 """
 
-from repro.realtime.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointStore,
-    JobCheckpoint,
-)
 from repro.realtime.edf import (
     DeadlineAdmission,
     EdfExecutor,
@@ -42,10 +36,6 @@ from repro.realtime.specs import (
 from repro.realtime.workloads import generate_workload, workload_to_dict
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointError",
-    "CheckpointStore",
-    "JobCheckpoint",
     "DeadlineAdmission",
     "EdfExecutor",
     "RealtimeReport",

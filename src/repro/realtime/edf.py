@@ -10,10 +10,12 @@ and changes exactly three policies:
 * **preemption** -- victims are residents with *strictly later*
   deadlines, latest first (classic EDF), with an optional
   ``min_resident_us`` hysteresis against thrash;
-* **eviction** -- a preempted realtime job is *suspended to a
-  checkpoint* through the quiescent ``CMD_CHECKPOINT`` drain
-  (:meth:`JobExecutor.suspend_job`) and later resumed bit-exactly,
-  instead of being restarted from word zero.
+* **eviction** -- a preempted realtime job is *suspended* through the
+  quiescent ``CMD_CHECKPOINT`` drain (:meth:`JobExecutor.suspend_job`),
+  which leaves its state words and source offset in
+  :class:`~repro.runtime.jobs.ResumeState`, and later resumed
+  bit-exactly from that state instead of being restarted from word
+  zero.
 
 Admission adds a utilization-bound test on top of the spatial
 :class:`~repro.runtime.admission.AdmissionController` checks: a job
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.params import SystemParameters
-from repro.realtime.checkpoint import CheckpointStore, JobCheckpoint
 from repro.realtime.specs import (
     FrameOutcome,
     RealtimeError,
@@ -57,26 +58,22 @@ class DeadlineAdmission(AdmissionController):
     (simulated us; ``inf`` for non-realtime jobs, which then fall back
     to priority order among themselves).  ``utilization_of`` maps a job
     to its PRR-weighted utilization for the bound test; jobs with zero
-    utilization (non-realtime) bypass the gate.
+    utilization (non-realtime) bypass the gate.  Preemption is always
+    allowed.
     """
 
     def __init__(
         self,
         params: SystemParameters,
+        deadline_of: Callable[[Job], float],
+        utilization_of: Callable[[Job], float],
         floorplan=None,
-        allow_preemption: bool = True,
-        deadline_of: Optional[Callable[[Job], float]] = None,
-        utilization_of: Optional[Callable[[Job], float]] = None,
         utilization_bound: float = 1.0,
         min_resident_us: float = 0.0,
     ) -> None:
-        super().__init__(
-            params,
-            floorplan=floorplan,
-            allow_preemption=allow_preemption,
-        )
-        self.deadline_of = deadline_of or (lambda job: float("inf"))
-        self.utilization_of = utilization_of or (lambda job: 0.0)
+        super().__init__(params, floorplan=floorplan)
+        self.deadline_of = deadline_of
+        self.utilization_of = utilization_of
         self.utilization_bound = utilization_bound
         self.min_resident_us = min_resident_us
         self._util_by_job: Dict[str, float] = {}
@@ -370,11 +367,9 @@ class EdfExecutor(JobExecutor):
         config: Optional[ExecutorConfig] = None,
         utilization_bound: float = 1.0,
         min_resident_us: float = 0.0,
-        checkpoints: Optional[CheckpointStore] = None,
     ) -> None:
         super().__init__(params=params, config=config)
         self.utilization_bound = utilization_bound
-        self.checkpoints = checkpoints or CheckpointStore()
         self.rt_index: Dict[str, RealtimeJob] = {}
         self._required: Dict[str, List[int]] = {}
         self._frame_deadlines: Dict[str, List[float]] = {}
@@ -382,10 +377,9 @@ class EdfExecutor(JobExecutor):
         # swap the priority admission for the deadline-ordered one
         self.admission = DeadlineAdmission(
             self.params,
-            floorplan=self.system.floorplan,
-            allow_preemption=True,
             deadline_of=self._deadline_of,
             utilization_of=self._utilization_of,
+            floorplan=self.system.floorplan,
             utilization_bound=utilization_bound,
             min_resident_us=min_resident_us,
         )
@@ -435,40 +429,9 @@ class EdfExecutor(JobExecutor):
             return
         super()._evict(victim, evicted_by)
 
-    def suspend_job(
-        self, job: Job, requested_by: Optional[Job] = None
-    ) -> bool:
-        assignment = job.assignment
-        suspended = super().suspend_job(job, requested_by=requested_by)
-        if (
-            suspended
-            and job.resume is not None
-            and assignment is not None
-        ):
-            self.checkpoints.put(
-                JobCheckpoint.from_resume(
-                    job.spec,
-                    job.resume,
-                    prrs=assignment.prrs,
-                    slices_needed=self.admission._stage_slices(job),
-                )
-            )
-        return suspended
-
-    def _start_placement(self, job: Job) -> None:
-        if job.resume is not None and job.assignment is not None:
-            checkpoint = self.checkpoints.take(job.spec.name)
-            if checkpoint is not None:
-                targets = [
-                    self.admission._prr_slices.get(prr, 0)
-                    for prr in job.assignment.prrs
-                ]
-                if not checkpoint.compatible_with(targets):
-                    self._fail(
-                        job, "checkpoint incompatible with assigned PRR shape"
-                    )
-                    return
-        super()._start_placement(job)
+    # bound on this class too: perfbench/layertrace.py times suspensions
+    # by patching this class's own ``suspend_job`` attribute
+    suspend_job = JobExecutor.suspend_job
 
     def _complete(self, job: Job) -> None:
         super()._complete(job)

@@ -27,15 +27,12 @@ from repro.runtime.jobs import (
     Job,
     JobError,
     JobFile,
-    JobSource,
     JobState,
     QueueJobSource,
     RetryPolicy,
     SourceSpec,
     StageSpec,
-    StaticJobSource,
     StreamJob,
-    as_job_source,
     load_jobfile,
 )
 from repro.runtime.telemetry import FleetReport, JobReport
@@ -51,15 +48,12 @@ __all__ = [
     "JobError",
     "JobFile",
     "JobReport",
-    "JobSource",
     "JobState",
     "JobExecutor",
     "QueueJobSource",
     "RetryPolicy",
     "SourceSpec",
     "StageSpec",
-    "StaticJobSource",
     "StreamJob",
-    "as_job_source",
     "load_jobfile",
 ]

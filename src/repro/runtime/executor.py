@@ -93,10 +93,6 @@ class ExecutorConfig:
     #: before a running job counts as complete
     idle_streak: int = 3
     allow_preemption: bool = True
-    #: dispatch steady-state clock windows through the compiled-schedule
-    #: fast path (repro.sim.fastpath); behaviour is bit-identical either
-    #: way, so this only exists to measure or rule out the fast path
-    use_fastpath: bool = True
     #: abort the whole run as soon as one job ends FAILED or terminally
     #: EVICTED: remaining non-terminal jobs fail with an "aborted by
     #: fail-fast" reason instead of running to completion
@@ -123,7 +119,7 @@ class ExecutorConfig:
     def from_dict(cls, data: dict) -> "ExecutorConfig":
         allowed = {
             "quantum_us", "max_us", "idle_streak", "allow_preemption",
-            "use_fastpath", "fail_fast", "faults", "compaction",
+            "fail_fast", "faults", "compaction",
         }
         unknown = set(data) - allowed
         if unknown:
@@ -148,7 +144,6 @@ class JobExecutor:
         self.params = params or SystemParameters.prototype()
         self.config = config or ExecutorConfig()
         self.system = VapresSystem(self.params)
-        self.system.sim.set_fastpath(self.config.use_fastpath)
         self.scheduler = ReconfigScheduler(self.system.engine)
         self.switcher = ModuleSwitcher(self.system)
         self.admission = AdmissionController(

@@ -403,10 +403,11 @@ class ResumeState:
     the Figure-5 drain): per-stage state-register words in chain order,
     plus the source offset -- the drain fully processes every word the
     IOM had emitted, so resuming replays the source iterator from
-    ``source_offset`` with no loss and no duplication.  The realtime
-    layer wraps this in a placement-keyed
-    :class:`repro.realtime.checkpoint.Checkpoint` blob; the runtime only
-    needs the raw words.
+    ``source_offset`` with no loss and no duplication.  This is the
+    only checkpoint form: the realtime scheduler (:mod:`repro.realtime`)
+    suspends and resumes through it, and state registers are
+    placement-independent, so admission's slice check is the only
+    test a restore target needs.
     """
 
     stage_states: List[List[int]] = field(default_factory=list)
@@ -521,38 +522,7 @@ class Job:
 # ----------------------------------------------------------------------
 # job sources
 # ----------------------------------------------------------------------
-class JobSource:
-    """Where an executor's jobs come from.
-
-    The batch executors consume a static list, the device pool's
-    workers pull from a queue that a front-door server feeds live; both
-    are just iterables of :class:`StreamJob`.  A source signals
-    exhaustion by ending iteration -- for queues that means a sentinel,
-    not emptiness, so a briefly idle server does not shut its workers
-    down.
-    """
-
-    def __iter__(self) -> Iterator[StreamJob]:  # pragma: no cover
-        raise NotImplementedError
-
-
-class StaticJobSource(JobSource):
-    """A fixed batch of jobs (the classic ``repro serve`` jobfile)."""
-
-    def __init__(self, jobs: List[StreamJob]) -> None:
-        names = [job.name for job in jobs]
-        if len(names) != len(set(names)):
-            raise JobError("job names must be unique")
-        self.jobs = list(jobs)
-
-    def __iter__(self) -> Iterator[StreamJob]:
-        return iter(self.jobs)
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-
-class QueueJobSource(JobSource):
+class QueueJobSource:
     """Jobs arriving over a queue; ``close()`` ends the stream.
 
     Works with any object exposing blocking ``get()``/``put()`` --
@@ -578,13 +548,6 @@ class QueueJobSource(JobSource):
             if item is self._SENTINEL:
                 return
             yield item
-
-
-def as_job_source(jobs: Union[JobSource, List[StreamJob]]) -> JobSource:
-    """Adapt a plain job list (the common case) into a JobSource."""
-    if isinstance(jobs, JobSource):
-        return jobs
-    return StaticJobSource(list(jobs))
 
 
 # ----------------------------------------------------------------------

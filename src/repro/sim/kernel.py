@@ -23,7 +23,6 @@ event ordering, sequence numbering and ``events_processed`` accounting.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
@@ -115,14 +114,12 @@ class Simulator:
     def __init__(
         self,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        use_fastpath: Optional[bool] = None,
+        use_fastpath: bool = True,
     ) -> None:
         self._now = 0
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._running = False
-        if use_fastpath is None:
-            use_fastpath = os.environ.get("REPRO_FASTPATH", "1") != "0"
         self._fastpath = None
         if use_fastpath:
             # deferred import: fastpath imports this module

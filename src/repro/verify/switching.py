@@ -6,7 +6,8 @@ any error-severity finding, so a switch never starts against a violated
 precondition:
 
 * the replacement module fits the target PRR / spanning region (``VAP301``),
-* its partial bitstream is in the repository (``VAP302``),
+* its partial bitstream is in the repository and the reconfiguration
+  path is one the switch can take (``VAP302``),
 * the drain/re-route path exists -- free switch-box lanes for the new
   input and output channels, counting the lanes the released channels
   give back (``VAP303``),
@@ -114,6 +115,13 @@ def check_switch(system, plan: SwitchPlan) -> List[Diagnostic]:
             ))
 
     # ---- bitstream + factory (VAP302/VAP306) -------------------------
+    if plan.reconfig_path not in ("array2icap", "cf2icap"):
+        out.append(_d(
+            "VAP302",
+            f"unknown reconfig path {plan.reconfig_path!r}; the bitstream "
+            "is loaded by 'array2icap' or 'cf2icap'",
+            loc,
+        ))
     if not system.repository.has(plan.new_module, plan.new_prr):
         out.append(_d(
             "VAP302",

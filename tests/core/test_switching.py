@@ -234,10 +234,17 @@ def test_switch_and_drain_refuse_a_downstream_without_an_iom():
 
 
 def test_switch_unknown_reconfig_path():
-    system, _, _, ch_in, ch_out = make_scenario()
+    """An unknown reconfiguration path is refused before step 1, so the
+    switch opens no span and marks no step."""
+    system, _, filter_a, ch_in, ch_out = make_scenario()
     system.run_for_us(5)
-    with pytest.raises(ValueError, match="unknown reconfig path"):
-        run_switch(system, ch_in, ch_out, reconfig_path="bogus")
+    steps = []
+    with pytest.raises(VerificationError, match="VAP302.*unknown reconfig path"):
+        run_switch(system, ch_in, ch_out, reconfig_path="bogus",
+                   observer=lambda step, when, text: steps.append(step))
+    assert steps == []
+    assert system.sim.tracer.open_spans("prr/rsb0.prr0") == ()
+    assert system.prr("rsb0.prr0").module is filter_a
 
 
 def test_old_prr_powered_down_after_switch():

@@ -85,10 +85,9 @@ def test_fig5_switch_identical_under_fastpath():
 
 def run_fleet(fastpath):
     params = replace(SystemParameters.prototype(), pr_speedup=1000.0)
-    config = ExecutorConfig(
-        quantum_us=25.0, max_us=100_000.0, use_fastpath=fastpath
-    )
+    config = ExecutorConfig(quantum_us=25.0, max_us=100_000.0)
     executor = JobExecutor(params=params, config=config)
+    executor.system.sim.set_fastpath(fastpath)
     jobs = [
         StreamJob(
             name="j0",
@@ -145,10 +144,9 @@ def test_fleet_serving_identical_under_fastpath():
 def run_tiny_job(fastpath):
     """One 8-word, one-stage job: the pool front door's job shape."""
     params = replace(SystemParameters.prototype(), pr_speedup=1000.0)
-    config = ExecutorConfig(
-        quantum_us=25.0, max_us=100_000.0, use_fastpath=fastpath
-    )
+    config = ExecutorConfig(quantum_us=25.0, max_us=100_000.0)
     executor = JobExecutor(params=params, config=config)
+    executor.system.sim.set_fastpath(fastpath)
     report = executor.run([
         StreamJob(
             name="tiny",
@@ -225,11 +223,9 @@ def run_lifecycle(fastpath):
     rt_params = replace(SystemParameters.prototype(), pr_speedup=20_000.0)
     rt = EdfExecutor(
         params=rt_params,
-        config=ExecutorConfig(
-            max_us=20_000.0, quantum_us=5.0, idle_streak=2,
-            use_fastpath=fastpath,
-        ),
+        config=ExecutorConfig(max_us=20_000.0, quantum_us=5.0, idle_streak=2),
     )
+    rt.system.sim.set_fastpath(fastpath)
     rt_report = rt.run_realtime(
         generate_workload(
             seed=7, jobs=3, utilization=0.6, params=rt_params,
@@ -240,9 +236,9 @@ def run_lifecycle(fastpath):
         params=churn_params(),
         config=ExecutorConfig(
             quantum_us=25.0, max_us=20_000.0, compaction="on",
-            use_fastpath=fastpath,
         ),
     )
+    churn.system.sim.set_fastpath(fastpath)
     churn_report = churn.run(
         churn_jobs(waves=1, long_words=2_000, short_deadline_us=None)
     )

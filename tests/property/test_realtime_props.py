@@ -29,11 +29,9 @@ from repro.modules.base import (
 from repro.modules.filters import Q15_ONE, FirFilter, MovingAverage
 from repro.modules.state import from_u32, to_u32
 from repro.modules.transforms import Crc32, DeltaEncoder, MinMaxTracker
-from repro.realtime.checkpoint import JobCheckpoint
 from repro.realtime.edf import EdfExecutor
 from repro.realtime.workloads import generate_workload
 from repro.runtime.executor import ExecutorConfig
-from repro.runtime.jobs import ResumeState, SourceSpec, StageSpec, StreamJob
 
 FACTORIES = [
     lambda: FirFilter("fir", [Q15_ONE // 4, Q15_ONE // 2, Q15_ONE // 4]),
@@ -125,36 +123,6 @@ def test_checkpoint_protocol_roundtrip_is_bit_exact(
     tail = collect(second_ports)
 
     assert head + tail == expected
-
-
-@given(
-    stage_states=st.lists(
-        st.lists(st.integers(0, 2**32 - 1), max_size=4),
-        min_size=1, max_size=3,
-    ),
-    offset=st.integers(0, 2**20),
-    capture_us=st.floats(0, 1e6, allow_nan=False),
-)
-@settings(max_examples=80, deadline=None)
-def test_job_checkpoint_resume_roundtrip(stage_states, offset, capture_us):
-    spec = StreamJob(
-        name="j",
-        stages=[StageSpec(kind="moving_average")] * len(stage_states),
-        source=SourceSpec(kind="ramp", count=8),
-    )
-    resume = ResumeState(
-        stage_states=stage_states, source_offset=offset,
-        capture_us=capture_us,
-    )
-    ckpt = JobCheckpoint.from_resume(
-        spec, resume, prrs=[f"p{i}" for i in range(len(stage_states))],
-        slices_needed=640,
-    )
-    wire = JobCheckpoint.from_dict(ckpt.to_dict())
-    back = wire.to_resume()
-    assert back.stage_states == stage_states
-    assert back.source_offset == offset
-    assert back.capture_us == capture_us
 
 
 @given(seed=st.sampled_from([3, 11]))

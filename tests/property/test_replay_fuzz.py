@@ -11,7 +11,7 @@ ones force backpressure.
 
 Three oracles:
 
-* the event-heap kernel (``REPRO_FASTPATH=0`` behaviour), which never
+* the event-heap kernel (``Simulator.set_fastpath(False)``), which never
   skips or replays an edge: the fast path must match it on every word,
   timestamp, FIFO/channel/module/IOM counter and payload, the
   ``repro_fifo_occupancy`` exposition, ``events_processed``, the

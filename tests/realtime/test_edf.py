@@ -36,28 +36,29 @@ def feasible(params):
 
 @pytest.fixture(scope="module")
 def feasible_report(params, config, feasible):
-    executor = EdfExecutor(params=params, config=config)
-    report = executor.run_realtime(feasible)
-    return executor, report
+    return EdfExecutor(params=params, config=config).run_realtime(feasible)
 
 
 def test_feasible_workload_hits_every_deadline(feasible_report):
-    executor, report = feasible_report
+    report = feasible_report
     assert report.ok
     assert report.hit_rate == 1.0
     assert report.frames_total == 15
     # three jobs on two PRRs: time-sharing is mandatory, and swaps go
-    # through the checkpoint path, not the restart path
+    # through the checkpoint path, not the restart path: every attempt
+    # after the first is a resume, and no job is ever evicted
     assert report.preemptions > 0
     assert report.suspensions_total > 0
-    assert executor.checkpoints.saves == executor.checkpoints.restores
-    assert executor.checkpoints.saves >= report.suspensions_total
+    for job in report.fleet.jobs:
+        assert job.state == "DONE"
+        assert job.evictions == 0
+        assert job.attempts == job.suspensions + 1
 
 
 def test_preempted_output_matches_solo_run(params, config, feasible,
                                            feasible_report):
     """Acceptance: suspend/resume is invisible in the output stream."""
-    _, shared = feasible_report
+    shared = feasible_report
     for job, outcome in zip(feasible, shared.jobs):
         assert outcome.suspensions > 0 or job.name == "rt2"
         solo = EdfExecutor(params=params, config=config).run_realtime([job])
@@ -108,7 +109,7 @@ def test_fingerprint_is_stable_and_order_sensitive():
 
 
 def test_report_serializes(feasible_report):
-    _, report = feasible_report
+    report = feasible_report
     data = report.to_dict()
     assert data["scheduler"] == "edf"
     assert len(data["jobs"]) == 3

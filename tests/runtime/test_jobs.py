@@ -212,20 +212,6 @@ def test_example_jobfiles_parse():
 # ----------------------------------------------------------------------
 # job sources
 # ----------------------------------------------------------------------
-def test_static_job_source_rejects_duplicates_and_iterates():
-    from repro.runtime.jobs import StaticJobSource, as_job_source
-
-    jobs = [StreamJob(name="a"), StreamJob(name="b")]
-    source = StaticJobSource(jobs)
-    assert [j.name for j in source] == ["a", "b"]
-    assert len(source) == 2
-    with pytest.raises(JobError):
-        StaticJobSource([StreamJob(name="x"), StreamJob(name="x")])
-    assert as_job_source(source) is source
-    adapted = as_job_source(jobs)
-    assert [j.name for j in adapted] == ["a", "b"]
-
-
 def test_queue_job_source_streams_until_closed():
     import queue
 

@@ -7,10 +7,6 @@ to the event-heap kernel.  Differential twins (one heap, one fast) run
 the same scenario and their full logs are compared.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.baselines.shared_bus import SharedBus
@@ -291,23 +287,6 @@ def test_stats_and_runtime_toggle():
     assert sim.fastpath_enabled
     sim.run_until(400_000)
     assert clocks[0].cycles == 40
-
-
-def test_env_var_disables_fastpath():
-    code = (
-        "from repro.sim.kernel import Simulator;"
-        "print(Simulator().fastpath_enabled)"
-    )
-    env = dict(os.environ, REPRO_FASTPATH="0")
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_events_processed_accounting_matches_heap_exactly():
