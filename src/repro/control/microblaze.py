@@ -156,15 +156,17 @@ class Microblaze:
 
         Convenience for scripted scenarios; raises the task's exception if
         it failed.  Free-running clocks keep the event queue non-empty, so
-        the loop stops on task completion, not queue exhaustion.
+        the loop stops on task completion, not queue exhaustion.  The
+        compiled-schedule fast path runs the clock edges and, among them,
+        the task's own effects (bridge charges, ICAP completions, other
+        timers), until an effect finishes the task or gates or retunes a
+        clock; the loop steps the heap only in between.
         """
         task = self.spawn(generator, name)
+        done = lambda: task.done  # noqa: E731
         while not task.done:
-            # while the software sleeps (ICAP transfers, DCR timers) the
-            # queue is clock edges plus one completion event: let the
-            # compiled-schedule fast path chew through the edge prefix
-            self.sim.fast_forward()
-            if not self.sim.step():
+            self.sim.fast_forward(done)
+            if not task.done and not self.sim.step():
                 raise RuntimeError(
                     f"software task {name!r} did not finish (deadlock or "
                     "waiting on hardware that never responds)"

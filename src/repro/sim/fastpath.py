@@ -1,4 +1,4 @@
-"""Compiled-schedule fast path for pure clock-edge run windows.
+"""Compiled-schedule fast path for clock-edge run windows.
 
 The event-heap kernel spends most of a steady-state cycle on bookkeeping:
 per edge it pops a sample :class:`~repro.sim.kernel.Event`, allocates and
@@ -20,8 +20,8 @@ reproduces the heap kernel bit for bit:
 * ``events_processed`` advances by one per virtual sample and one per
   virtual commit,
 * clocks due at the same instant dispatch in pending-edge seq order, and
-* the moment anything non-periodic intrudes -- a callback schedules an
-  event, a clock is gated/ungated, a BUFGMUX reselect bumps
+* the moment anything non-periodic intrudes -- an edge callback schedules
+  an event, a clock is gated/ungated, a BUFGMUX reselect bumps
   :data:`~repro.sim.kernel.CLOCK_EPOCH`, or a phase probe appears -- the
   engine reconstructs the exact heap state the classic kernel would have
   had at that point and returns control to it.
@@ -34,10 +34,25 @@ cost nothing.  Once a window's pass order has settled (see
 once, in dispatch order, instead of being filtered and sorted at every
 instant.
 
-Windows bounded by a ``run_until`` target or by the earliest non-edge
-event never dispatch past either bound, so ``PRIORITY_NORMAL`` timers,
-DMA/ICAP completions and software steps interleave with clock edges in
-the same total order as before.
+Foreign events.  The events left in the heap -- ``PRIORITY_NORMAL``
+timers, DMA/ICAP completions, MicroBlaze software steps -- do not end a
+window.  Before dispatching an instant, the engine pops and runs every
+live one due before it, in heap order, each after the sample and commit
+phases of its own instant, with ``now`` at its time and one more
+processed event; the events it schedules bound the window anew.  A
+window ends at its ``run_until`` target (or, for
+:meth:`~repro.sim.kernel.Simulator.fast_forward`, once its ``stop``
+predicate holds after an event, or when no event is left), and before
+any event that sorts among the edge phases of an instant (a
+``PRIORITY_SAMPLE``/``PRIORITY_COMMIT`` callback) or that the caller
+wants to run itself (``fast_forward`` without ``stop``).  An event that
+gates an adopted clock, bumps ``CLOCK_EPOCH``, installs a phase probe or
+starts a clock the window did not adopt ends it, with the heap rebuilt,
+right after that event.  The slot table and the compiled plan outlive the
+events: none of them changes a pending edge's time or the order of the
+pending seqs.  A callback must not run the simulator itself
+(``run_until``, ``step``): inside a window the adopted edges are not in
+the heap.
 
 Out-of-band frequency mutation (anything other than ``Bufgmux.select``)
 must bump ``CLOCK_EPOCH[0]`` or the fast path may keep dispatching on the
@@ -46,12 +61,16 @@ stale period; all shipped clocking primitives do this already.
 Steady-state replay.  Many windows are periodic: during a Section V
 reconfiguration the RSB clocks tick with nothing to do, and a steady
 stream moves one word per cycle through registered switch boxes, which
-makes the whole path a delay line.  Every :data:`SKIP_CHECK_PASSES`
-whole passes the table dispatcher checks first whether every adopted
-component is ``quiescent()``: if so, the idle window is skipped at once
-(all but the last whole pass, each component's ``idle_advance`` adding
-its idle counters).  Otherwise it may start an *observation* -- at the
-first such check, then after twice as many checks each time one fails.
+makes the whole path a delay line.  Two whole passes after a window
+starts and after each foreign event, and then every
+:data:`SKIP_CHECK_PASSES` whole passes, the table dispatcher checks
+whether every adopted component is ``quiescent()``: if so, the idle
+stretch up to the next event or the target is skipped at once (all but
+the last whole pass, each component's ``idle_advance`` adding its idle
+counters).  Otherwise each of the later checks may start an
+*observation* -- the first one, then after twice as many checks each
+time one fails.  A foreign event ends an observation and restarts this
+cadence, so no replayed period contains one.
 
 *Period search.*  At each pass boundary an observation records the tuple
 of every adopted component's ``steady_key()`` (its control state without
@@ -117,18 +136,21 @@ edges every time, and ties at a shared instant sort by the seq each
 clock drew at its previous edge -- for clocks of different periods that
 is the order of those edges' times, and same-period, same-phase clocks
 keep the order they started in -- so every pass after the first draws
-its sequence numbers in the same pattern.  The first observation comes
-after ``SKIP_CHECK_PASSES`` >= 2 passes, once every pending seq was drawn
-inside the window, so the period a replay extrapolates from is always a
-periodic one.  Components without ``steady_key``/``quiescent``
-(duck-typed ones), and subclasses that override ``sample`` or ``commit``
-without redefining them, are never replayed or skipped.
+its sequence numbers in the same pattern.  A foreign event that lands
+mid-pass draws seqs of its own, so the pending seqs follow that pattern
+again only once a whole pass has run after it.  Every check therefore
+comes at least two whole passes after the window started or after the
+last event (the first observation after ``SKIP_CHECK_PASSES`` >= 2), so
+the period a replay extrapolates from is always a periodic one.
+Components without ``steady_key``/``quiescent`` (duck-typed ones), and
+subclasses that override ``sample`` or ``commit`` without redefining
+them, are never replayed or skipped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd
 from operator import attrgetter
@@ -476,6 +498,21 @@ def _drift_bound(
     return (low - floor) // -drift
 
 
+def _limit(
+    head: Optional[Event], target: Optional[int], inline: bool
+) -> Optional[int]:
+    """The last instant a window may dispatch before the earliest live
+    foreign event ``head`` runs: ``head``'s own instant when it is run
+    inline and sorts after that instant's edge phases, else the instant
+    before; never past ``target``.  None when nothing bounds the window."""
+    if head is None:
+        return target
+    bound = head.time
+    if not inline or head.priority <= PRIORITY_COMMIT:
+        bound -= 1
+    return bound if target is None else min(target, bound)
+
+
 class _ClockState:
     """Mutable fast-path shadow of one adopted clock's pending edge."""
 
@@ -497,7 +534,7 @@ class _ClockState:
 
 
 class FastPathEngine:
-    """Dispatches pure clock-edge windows without touching the event heap.
+    """Dispatches clock-edge windows from a slot table, not the event heap.
 
     One engine is owned by at most one :class:`Simulator`; it is inert
     (and free) until :meth:`try_run` finds an adoptable window.
@@ -512,6 +549,7 @@ class FastPathEngine:
         "_edges",
         "_bails",
         "_skipped",
+        "_inlined",
         "_memo_key",
         "_memo_slots",
         "_memo_hyper",
@@ -526,6 +564,7 @@ class FastPathEngine:
         self._edges = 0
         self._bails = 0
         self._skipped = 0
+        self._inlined = 0
         self._memo_key: Optional[Tuple[Tuple[int, int], ...]] = None
         self._memo_slots: Optional[List[Tuple[int, List[int]]]] = None
         self._memo_hyper = 0
@@ -534,14 +573,16 @@ class FastPathEngine:
     # public surface used by Simulator / Clock
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Counters: windows adopted, edges dispatched, early bails, and
-        how many of those edges steady-state replay advanced without
-        dispatching them (idle ones and ones that moved words)."""
+        """Counters: windows adopted, edges dispatched, early bails, how
+        many of those edges steady-state replay advanced without
+        dispatching them (idle ones and ones that moved words), and the
+        foreign events run inside a window."""
         return {
             "windows": self._windows,
             "edges": self._edges,
             "bails": self._bails,
             "skipped": self._skipped,
+            "inlined": self._inlined,
         }
 
     def owns(self, clock: Any) -> bool:
@@ -578,35 +619,40 @@ class FastPathEngine:
     # ------------------------------------------------------------------
     # window entry
     # ------------------------------------------------------------------
-    def try_run(self, target: Optional[int]) -> bool:
+    def try_run(
+        self,
+        target: Optional[int],
+        stop: Optional[Callable[[], bool]] = None,
+    ) -> bool:
         """Adopt and dispatch a clock-edge window, if one exists.
 
-        ``target`` bounds the window (inclusive); ``None`` means run until
-        the earliest non-edge event intrudes (used by
-        :meth:`Simulator.fast_forward`).  Returns True if at least one
-        edge was dispatched; on False the queue is untouched.
+        ``target`` bounds the window (inclusive).  With a target or a
+        ``stop`` predicate, the window runs the foreign (non-edge) events
+        that fall due inside it in their heap order (see
+        :meth:`_run_foreign`) and ends early once ``stop()`` is true
+        after one of them; with neither it ends before the earliest
+        foreign event (:meth:`Simulator.fast_forward` without ``stop``).
+        Returns True if at least one edge was dispatched; on False the
+        queue is untouched.
         """
         sim = self.sim
         if self._active or sim.phase_probe is not None:
             return False
         queue = sim._queue
         edge_events: List[Event] = []
-        horizon: Optional[int] = None
+        head: Optional[Event] = None
         for event in queue:
             if event.cancelled:
                 continue
             if event.clock is not None:
                 edge_events.append(event)
-            elif horizon is None or event.time < horizon:
-                horizon = event.time
+            elif head is None or event < head:
+                head = event
         if not edge_events:
             return False
-        if horizon is not None:
-            limit = horizon - 1 if target is None else min(int(target), horizon - 1)
-        elif target is None:
+        limit = _limit(head, target, target is not None or stop is not None)
+        if limit is None:
             return False  # unbounded window with nothing to stop it
-        else:
-            limit = int(target)
         first_edge = min(event.time for event in edge_events)
         if first_edge > limit:
             return False
@@ -630,13 +676,68 @@ class FastPathEngine:
         try:
             slots, hyper = self._compile(states, first_edge)
             if slots is None:
-                self._scan_window(limit)
+                self._scan_window(limit, target, stop)
             else:
-                self._table_window(limit, slots, hyper, first_edge)
+                self._table_window(limit, slots, hyper, first_edge, target, stop)
         finally:
             self._active = False
             self._states = []
         return True
+
+    def _run_foreign(
+        self, t: int, target: Optional[int], stop: Optional[Callable[[], bool]]
+    ) -> int:
+        """Run every foreign event due before instant ``t`` of the window.
+
+        Called when ``t`` lies past the window's limit.  Each event runs
+        as the heap kernel's ``step`` would run it, with ``now`` at its
+        time and one more processed event, and in heap order: the window
+        dispatched an instant at an event's own time only if the event
+        sorts after that instant's edge phases (see :func:`_limit`).
+        Cancelled carcasses are dropped.  Returns the new limit, or -1
+        once the window ended with the heap state rebuilt: at the target,
+        without a target or ``stop``, or when an event gated an adopted
+        clock, bumped ``CLOCK_EPOCH``, installed a phase probe, started a
+        clock the window did not adopt, or made ``stop()`` true.
+        """
+        sim = self.sim
+        queue = sim._queue
+        if (target is None and stop is None) or (
+            target is not None and t > target
+        ):
+            self._finish([])
+            return -1
+        while queue and queue[0].time < t:
+            event = heappop(queue)
+            if event.cancelled:
+                continue
+            epoch = CLOCK_EPOCH[0]
+            sim._now = event.time
+            try:
+                event.callback()
+            except BaseException:
+                self._finish([])
+                raise
+            sim.events_processed += 1
+            self._inlined += 1
+            if (
+                self._bail_flag
+                or CLOCK_EPOCH[0] != epoch
+                or sim.phase_probe is not None
+                or any(e.clock is not None for e in queue)
+            ):
+                self._bail(event.time, [])
+                return -1
+            if stop is not None and stop():
+                self._finish([])
+                return -1
+        while queue and queue[0].cancelled:
+            heappop(queue)
+        limit = _limit(queue[0] if queue else None, target, True)
+        if limit is None or limit < t:
+            self._finish([])
+            return -1
+        return limit
 
     # ------------------------------------------------------------------
     # schedule compilation
@@ -686,37 +787,50 @@ class FastPathEngine:
         slots: List[Tuple[int, List[int]]],
         hyper: int,
         t0: int,
+        target: Optional[int],
+        stop: Optional[Callable[[], bool]],
     ) -> None:
-        """Hot loop: walk the slot table cycle by cycle up to ``limit``.
+        """Hot loop: walk the slot table cycle by cycle.
 
         Each pass dispatches the compiled groups of :meth:`_plan` once it
         returns them; until then every instant filters and sorts its due
-        clocks.
+        clocks.  An instant past ``limit`` first runs the foreign events
+        due before it (:meth:`_run_foreign`), which moves the limit on or
+        ends the window.
 
-        Every :data:`SKIP_CHECK_PASSES` whole passes, if all adopted
-        components are quiescent, all but the last whole pass left before
-        ``limit`` are skipped by :meth:`_skip_idle`.  Otherwise an
-        observation may start (:meth:`_observe`): at the first such check,
-        then after twice as many checks each time one fails.  When it
-        finds a period, all but the last whole period left are replayed,
-        or fewer when a FIFO drifts, after which the observation goes on.
+        Two whole passes after the window starts and after each foreign
+        event, and then every :data:`SKIP_CHECK_PASSES` whole passes, if
+        all adopted components are quiescent, all but the last whole pass
+        left before ``limit`` are skipped by :meth:`_skip_idle`.
+        Otherwise each of the later checks may start an observation
+        (:meth:`_observe`): the first one, then after twice as many checks
+        each time one fails.  When it finds a period, all but the last
+        whole period left are replayed, or fewer when a FIFO drifts,
+        after which the observation goes on.  A foreign event ends the
+        observation and restarts this cadence, so no replayed period
+        contains one.
         """
         states = self._states
         last_offset = slots[-1][0]
         cycle = t0
         passes = 0
+        probed = False
         checks = 0
         backoff = 1
         watch: Optional[_Watch] = None
         plan = None
         while True:
-            if watch is None and passes >= SKIP_CHECK_PASSES:
-                passes = 0
+            if watch is None and (
+                passes >= SKIP_CHECK_PASSES or (passes == 2 and not probed)
+            ):
+                probed = True
                 whole = (limit - cycle + 1) // hyper
                 if whole > 1 and self._quiescent():
                     self._skip_idle(whole - 1, cycle, hyper, last_offset)
                     cycle += (whole - 1) * hyper
-                else:
+                    passes = 0
+                elif passes >= SKIP_CHECK_PASSES:
+                    passes = 0
                     checks += 1
                     if checks >= backoff and whole > 2:
                         checks = 0
@@ -733,29 +847,34 @@ class FastPathEngine:
             passes += 1
             if plan is None:
                 plan = self._plan(slots, cycle)
-            if plan is not None:
-                for offset, group in plan:
-                    t = cycle + offset
-                    if t > limit:
-                        self._finish([])
-                        return
-                    if not self._dispatch_instant(t, group):
-                        return
-                cycle += hyper
-                continue
-            for offset, indices in slots:
+            groups = plan
+            if groups is None:
+                groups = [
+                    (offset, tuple([states[i] for i in indices]))
+                    for offset, indices in slots
+                ]
+            for offset, group in groups:
                 t = cycle + offset
                 if t > limit:
-                    self._finish([])
-                    return
-                due = [
-                    states[i]
-                    for i in indices
-                    if states[i].enabled and states[i].next_time == t
-                ]
-                if len(due) > 1:
-                    due.sort(key=_BY_SEQ)
-                if due and not self._dispatch_instant(t, due):
+                    limit = self._run_foreign(t, target, stop)
+                    if limit < 0:
+                        return
+                    # seqs drawn before the event are off the pass
+                    # pattern until one whole pass has run
+                    passes = checks = 0
+                    backoff = 1
+                    probed = False
+                    watch = None
+                if plan is None:
+                    group = tuple(
+                        sorted(
+                            [st for st in group if st.enabled and st.next_time == t],
+                            key=_BY_SEQ,
+                        )
+                    )
+                    if not group:
+                        continue
+                if not self._dispatch_instant(t, group):
                     return
             cycle += hyper
 
@@ -1035,17 +1154,24 @@ class FastPathEngine:
         self._edges += edges
         self._skipped += edges
 
-    def _scan_window(self, limit: int) -> None:
-        """Fallback dispatcher: find each next instant by scanning states."""
+    def _scan_window(
+        self, limit: int, target: Optional[int], stop: Optional[Callable[[], bool]]
+    ) -> None:
+        """Fallback dispatcher: find each next instant by scanning states,
+        running foreign events as :meth:`_table_window` does."""
         states = self._states
         while True:
             t = -1
             for st in states:
                 if st.enabled and (t < 0 or st.next_time < t):
                     t = st.next_time
-            if t < 0 or t > limit:
+            if t < 0:
                 self._finish([])
                 return
+            if t > limit:
+                limit = self._run_foreign(t, target, stop)
+                if limit < 0:
+                    return
             due = [st for st in states if st.enabled and st.next_time == t]
             if len(due) > 1:
                 due.sort(key=_BY_SEQ)

@@ -13,11 +13,13 @@ semantics without delta cycles.  Ordinary timed callbacks (timers, DMA
 completions, reconfiguration done events) use ``PRIORITY_NORMAL`` and run
 after the clock phases of the same instant.
 
-When a run window contains only periodic clock edges, the kernel hands the
-window to the compiled-schedule fast path (:mod:`repro.sim.fastpath`),
+When the head of the queue is a periodic clock edge, the kernel hands the
+run to the compiled-schedule fast path (:mod:`repro.sim.fastpath`),
 which dispatches the same sample/commit phases from a precomputed
-hyperperiod edge table instead of the event heap -- with bit-identical
-event ordering, sequence numbering and ``events_processed`` accounting.
+hyperperiod edge table instead of the event heap, and runs the ordinary
+events that fall due in between at their places among those phases --
+with bit-identical event ordering, sequence numbering and
+``events_processed`` accounting.
 """
 
 from __future__ import annotations
@@ -220,13 +222,16 @@ class Simulator:
                 break
         self._now = max(self._now, time_ps)
 
-    def fast_forward(self) -> bool:
-        """Run any pure clock-edge prefix of the queue on the fast path.
+    def fast_forward(self, stop: Optional[Callable[[], bool]] = None) -> bool:
+        """Run clock edges from the head of the queue on the fast path.
 
-        Unlike :meth:`run_until` this has no target time: the fast path
-        runs until the next non-edge event (or retune/gate) intrudes.
-        Intended for callers that loop on :meth:`step` while waiting for a
-        ``PRIORITY_NORMAL`` completion event, such as
+        Unlike :meth:`run_until` this has no target time.  Without
+        ``stop`` the window ends before the next non-edge event.  With
+        it, the window runs non-edge events in their place among the
+        edges and ends once ``stop()`` is true after one of them, when no
+        non-edge event is left to bound it, or when one gates or retunes
+        a clock the window holds.  Intended for callers that loop on
+        :meth:`step` while waiting for a completion event, such as
         :meth:`repro.control.microblaze.Microblaze.run_to_completion`.
         Returns True if any edges were dispatched.
         """
@@ -236,7 +241,7 @@ class Simulator:
         queue = self._queue
         if not queue or queue[0].clock is None:
             return False
-        return fastpath.try_run(None)
+        return fastpath.try_run(None, stop)
 
     def set_fastpath(self, enabled: bool) -> None:
         """Enable or disable the compiled-schedule fast path at runtime."""
@@ -254,11 +259,14 @@ class Simulator:
     @property
     def fastpath_stats(self) -> Dict[str, int]:
         """Fast-path counters: windows entered, edges (dispatched or
-        not), bails, and ``skipped``, the edges steady-state replay
-        advanced without dispatching them -- idle ones and ones that
-        moved words (see :mod:`repro.sim.fastpath`)."""
+        not), bails, ``skipped``, the edges steady-state replay advanced
+        without dispatching them -- idle ones and ones that moved words
+        -- and ``inlined``, the non-edge events run inside a window (see
+        :mod:`repro.sim.fastpath`)."""
         if self._fastpath is None:
-            return {"windows": 0, "edges": 0, "bails": 0, "skipped": 0}
+            return {
+                "windows": 0, "edges": 0, "bails": 0, "skipped": 0, "inlined": 0
+            }
         return self._fastpath.stats()
 
     def run_for(self, delay_ps: int) -> None:

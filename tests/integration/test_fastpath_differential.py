@@ -9,7 +9,8 @@ identical: received words and their timestamps, methodology steps, words
 lost, job telemetry, final simulation time, the processed-event count and
 the sequence counter.  The last three scenarios are mostly idle clock
 edges, so they also pin that quiescence skip-ahead advances most of
-their edges.
+their edges, and the tiny job and the lifecycle run pin that windows run
+software and completion events inside them.
 """
 
 from dataclasses import replace
@@ -166,6 +167,7 @@ def test_tiny_job_identical_and_mostly_skipped():
     assert heap["jobs"][0]["words_out"] == 8
     assert sim_h.fastpath_stats["edges"] == 0
     assert_mostly_skipped(sim_f)
+    assert sim_f.fastpath_stats["inlined"] > 0
 
 
 def run_short_stream(fastpath):
@@ -260,3 +262,4 @@ def test_lifecycle_identical_and_mostly_skipped():
     assert heap["realtime"]["suspensions_total"] > 0
     assert heap["churn"]["compaction_moves"] > 0
     assert_mostly_skipped(*sims)
+    assert all(sim.fastpath_stats["inlined"] > 0 for sim in sims)

@@ -3,7 +3,12 @@
 Each example builds an IOM -> stage -> ... -> IOM chain on a prototype
 RSB with up to four PRRs and runs it in segments.  Between segments it
 may gate or ungate a PRR's local clock, reselect its BUFGMUX, or drop the
-IOM consumer's ``FIFO_wen`` (a gated consumer).  The chain mixes
+IOM consumer's ``FIFO_wen`` (a gated consumer).  Inside segments a
+MicroBlaze task sleeps for random ``Delay`` cycles and writes PRR
+PRSockets over DCR -- each socket's current value again, or that value
+with ``CLK_en`` or ``CLK_sel`` flipped -- so software effects land at
+random offsets among the clock edges; after the last segment
+``run_to_completion`` runs one more such task.  The chain mixes
 fixed-rate modules (one word out per word in, 1-3 cycles per sample)
 with an optional variable-rate one, a finite source of random length
 runs dry part-way through, and small FIFOs plus slow stages behind fast
@@ -39,6 +44,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.microblaze import DcrWrite, Delay
+from repro.control.prsocket import BIT_CLK_EN, BIT_CLK_SEL
 from repro.core import SystemParameters, VapresSystem
 from repro.modules import Iom
 from repro.modules.conditioning import AbsValue, NoiseGate, PeakHold
@@ -102,6 +109,15 @@ action_st = st.one_of(
     st.tuples(st.just("select"), st.integers(0, 3), st.integers(0, 1)),
     st.tuples(st.just("wen"), st.booleans()),
 )
+#: the PRSocket bit each kind of software DCR write flips
+FLIPS = {"rewrite": 0, "clk": 1 << BIT_CLK_EN, "sel": 1 << BIT_CLK_SEL}
+#: (Delay cycles, kind, PRR) per DCR write of a software task
+software_st = st.lists(
+    st.tuples(
+        st.integers(0, 600), st.sampled_from(sorted(FLIPS)), st.integers(0, 3)
+    ),
+    max_size=6,
+)
 
 
 def build_stage(spec, name):
@@ -140,12 +156,24 @@ def build(scenario, fastpath):
     return system, iom, modules
 
 
+def software(system, writes, stages):
+    """A MicroBlaze task: per write, a ``Delay``, then a DCR write of a
+    PRR PRSocket's current value with the write kind's :data:`FLIPS` bit
+    flipped."""
+    for delay, kind, prr in writes:
+        yield Delay(delay)
+        socket = system.prr(f"rsb0.prr{prr % stages}").prsocket
+        yield DcrWrite(socket, socket.dcr_read() ^ FLIPS[kind])
+
+
 def run(scenario, fastpath):
     """Run ``scenario``; returns the snapshot and the gated blocks."""
     stages = scenario[0]
+    during, after = scenario[7:] or ((), ())
     system, iom, modules = build(scenario, fastpath)
     consumer = system.slot("rsb0.iom0").consumers[0]
     blocks = []  # [words_received at gate start, words_gated at start]
+    system.microblaze.spawn(software(system, during, len(stages)), "during")
     for action, cycles in scenario[6]:
         if action[0] == "gate":
             system.prr(f"rsb0.prr{action[1] % len(stages)}").bufr.set_enabled(
@@ -162,6 +190,9 @@ def run(scenario, fastpath):
             else:
                 blocks.append([consumer.words_received, consumer.words_gated])
         system.run_for_cycles(cycles)
+    system.microblaze.run_to_completion(
+        software(system, after, len(stages)), "after"
+    )
     if not consumer.fifo_wen:
         blocks[-1][1] = consumer.words_gated - blocks[-1][1]
     return snapshot(system, iom, modules), blocks
@@ -289,6 +320,8 @@ def scenarios(draw):
                 max_size=4,
             )
         ),
+        draw(software_st),
+        draw(software_st),
     )
 
 

@@ -19,7 +19,7 @@ from repro.sim import fastpath
 from repro.sim.clock import Bufgmux, Clock, ClockedComponent, FixedSource
 from repro.sim.fastpath import FastPathEngine
 from repro.sim.fifo import SyncFifo
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PRIORITY_COMMIT, PRIORITY_SAMPLE, Simulator
 
 
 class Recorder(ClockedComponent):
@@ -69,6 +69,7 @@ def assert_equivalent(freqs, horizon_ps, mutate=None):
     assert sim_f.events_processed == sim_h.events_processed
     assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
     assert drawn_seq(sim_f) == drawn_seq(sim_h)
+    return sim_f.fastpath_stats
 
 
 def test_single_clock_equivalence():
@@ -275,10 +276,11 @@ def test_stats_and_runtime_toggle():
     assert stats["windows"] >= 1
     assert stats["edges"] == 20
     assert stats["bails"] == 0
+    assert stats["inlined"] == 0
     sim.set_fastpath(False)
     assert not sim.fastpath_enabled
     assert sim.fastpath_stats == {
-        "windows": 0, "edges": 0, "bails": 0, "skipped": 0
+        "windows": 0, "edges": 0, "bails": 0, "skipped": 0, "inlined": 0
     }
     before = sim.events_processed
     sim.run_until(300_000)
@@ -296,6 +298,228 @@ def test_events_processed_accounting_matches_heap_exactly():
         sim_f.run_until(horizon)
         sim_h.run_until(horizon)
         assert sim_f.events_processed == sim_h.events_processed
+
+
+# ----------------------------------------------------------------------
+# foreign events run inside a window
+# ----------------------------------------------------------------------
+class Idle(ClockedComponent):
+    """Quiescent: a window may skip its edges."""
+
+    def quiescent(self):
+        return True
+
+
+def note(sim, clocks, tag):
+    """A callback that logs ``tag`` at the current time to the twin's log."""
+    log = clocks[0].components[0].log
+    return lambda: log.append((sim.now, "e", tag))
+
+
+def test_event_at_an_edge_instant_runs_after_its_phases():
+    def mutate(sim, clocks):
+        sim.schedule(50_000, note(sim, clocks, "at-edge"))
+        sim.schedule(50_000, note(sim, clocks, "at-edge-2"))
+        sim.schedule(75_000, note(sim, clocks, "between"))
+        sim.schedule(80_000, note(sim, clocks, "commit"), PRIORITY_COMMIT)
+        sim.schedule(120_000, note(sim, clocks, "sample"), PRIORITY_SAMPLE)
+
+    stats = assert_equivalent([100e6, 50e6], 300_000, mutate)
+    assert stats["inlined"] >= 3
+
+
+def test_chain_of_delay_zero_events_runs_inline():
+    def mutate(sim, clocks):
+        def link(left):
+            note(sim, clocks, f"link{left}")()
+            if left:
+                sim.schedule(0, lambda: link(left - 1))
+            else:
+                sim.schedule(33_000, note(sim, clocks, "after"))
+
+        sim.schedule(45_000, lambda: link(5))
+
+    stats = assert_equivalent([100e6, 50e6], 300_000, mutate)
+    assert stats["inlined"] == 7
+    assert stats["bails"] == 0
+
+
+def test_event_gating_an_adopted_clock_ends_the_window():
+    def mutate(sim, clocks):
+        sim.schedule(35_000, note(sim, clocks, "before"))
+        sim.schedule(95_000, lambda: clocks[1].set_enabled(False))
+        sim.schedule(205_000, lambda: clocks[1].set_enabled(True))
+
+    stats = assert_equivalent([100e6, 50e6], 400_000, mutate)
+    assert stats["inlined"] >= 2
+    assert stats["bails"] >= 1
+
+
+def test_event_enabling_an_unadopted_clock_ends_the_window():
+    def mutate(sim, clocks):
+        clocks[2].set_enabled(False)
+        sim.schedule(35_000, note(sim, clocks, "before"))
+        sim.schedule(75_000, lambda: clocks[2].set_enabled(True))
+
+    stats = assert_equivalent([100e6, 50e6, 25e6], 400_000, mutate)
+    assert stats["inlined"] >= 2
+    assert stats["bails"] >= 1
+
+
+def test_bufgmux_select_from_an_event_ends_the_window():
+    def build(fastpath):
+        sim = Simulator(use_fastpath=fastpath)
+        mux = Bufgmux(FixedSource(100e6), FixedSource(40e6))
+        clk = Clock(sim, source=mux, name="lcd")
+        fixed = Clock(sim, freq_hz=100e6, name="sys")
+        log = []
+        clk.attach(Recorder(log, sim, "lcd"))
+        fixed.attach(Recorder(log, sim, "sys"))
+        clk.start()
+        fixed.start()
+        sim.schedule(40_000, lambda: log.append((sim.now, "e", "before")))
+        sim.schedule(150_000, lambda: mux.select(1))
+        return sim, (clk, fixed), log
+
+    sim_h, clocks_h, log_h = build(False)
+    sim_f, clocks_f, log_f = build(True)
+    sim_h.run_until(500_000)
+    sim_f.run_until(500_000)
+    assert log_f == log_h
+    assert sim_f.now == sim_h.now
+    assert sim_f.events_processed == sim_h.events_processed
+    assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
+    assert drawn_seq(sim_f) == drawn_seq(sim_h)
+    assert sim_f.fastpath_stats["inlined"] >= 2
+    assert sim_f.fastpath_stats["bails"] >= 1
+
+
+def test_phase_probe_installed_from_an_event_ends_the_window():
+    class Probe:
+        def __init__(self, log):
+            self.log = log
+
+        def begin(self, component, phase, now):
+            self.log.append((now, phase, "probe"))
+
+        def end(self):
+            pass
+
+    def mutate(sim, clocks):
+        log = clocks[0].components[0].log
+        sim.schedule(35_000, note(sim, clocks, "before"))
+
+        def install():
+            sim.phase_probe = Probe(log)
+
+        sim.schedule(85_000, install)
+
+    stats = assert_equivalent([100e6, 50e6], 300_000, mutate)
+    assert stats["inlined"] >= 2
+    assert stats["bails"] >= 1
+
+
+def test_cancelled_events_inside_the_window_are_dropped():
+    def mutate(sim, clocks):
+        # cancelled while a live event ahead of it bounds the window, so
+        # it falls due between two instants
+        doomed = sim.schedule(75_000, note(sim, clocks, "doomed"))
+        sim.schedule(65_000, note(sim, clocks, "never")).cancel()
+        sim.schedule(45_000, doomed.cancel)
+        sim.schedule(70_000, note(sim, clocks, "ahead"))
+        sim.schedule(95_000, note(sim, clocks, "after"))
+
+    stats = assert_equivalent([100e6, 50e6], 300_000, mutate)
+    assert stats["inlined"] == 3
+    assert stats["windows"] == 1
+
+
+def test_event_raising_inside_the_window_leaves_the_heap_kernels_state():
+    def boom():
+        raise RuntimeError("boom")
+
+    def run(fastpath):
+        sim, clocks, log = build_twin([100e6, 50e6], fastpath)
+        sim.schedule(35_000, lambda: log.append((sim.now, "e", "before")))
+        sim.schedule(75_000, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(300_000)
+        raised = (sim.now, sim.events_processed)
+        sim.run_until(300_000)
+        state = (
+            log, raised, sim.now, sim.events_processed, drawn_seq(sim),
+            [c.cycles for c in clocks],
+        )
+        return state, sim.fastpath_stats
+
+    heap, _ = run(fastpath=False)
+    fast, stats = run(fastpath=True)
+    assert fast == heap
+    assert heap[1] == (75_000, 21)
+    assert stats["inlined"] == 1
+
+
+def run_phased_idle(fastpath):
+    """Two idle 100 MHz clocks 3 ns apart and a timer every 9.7 cycles,
+    so events land mid-pass between windows of skipped edges."""
+    sim = Simulator(use_fastpath=fastpath)
+    clocks = [Clock(sim, freq_hz=100e6, name=f"clk{i}") for i in range(2)]
+    for clock in clocks:
+        clock.attach(Idle())
+    clocks[0].start()
+    sim.schedule(3_000, clocks[1].start)
+    log = []
+
+    def tick(left):
+        log.append(sim.now)
+        if left:
+            sim.schedule(97_000, lambda: tick(left - 1))
+
+    sim.schedule(11_500, lambda: tick(40))
+    sim.run_until(5_000_000)
+    state = (
+        log, sim.now, sim.events_processed, drawn_seq(sim),
+        [c.cycles for c in clocks],
+    )
+    return state, sim.fastpath_stats
+
+
+def test_same_period_clocks_at_two_phases_with_events_mid_pass():
+    heap, _ = run_phased_idle(fastpath=False)
+    fast, stats = run_phased_idle(fastpath=True)
+    assert fast == heap
+    assert len(heap[0]) == 41
+    assert stats["inlined"] == 41
+    assert 2 * stats["skipped"] > stats["edges"]
+
+
+def run_until_flag(fastpath):
+    """A caller that steps until an event sets a flag, fast-forwarding
+    with ``stop`` in between, as ``Microblaze.run_to_completion`` does."""
+    sim, clocks, log = build_twin([100e6, 50e6], fastpath)
+    flag = []
+    for k in range(1, 6):
+        sim.schedule(k * 13_000, lambda: log.append((sim.now, "e", "tick")))
+    sim.schedule(71_000, lambda: flag.append(sim.now))
+    sim.schedule(90_000, lambda: log.append((sim.now, "e", "late")))
+    while not flag:
+        sim.fast_forward(lambda: bool(flag))
+        if not flag:
+            assert sim.step()
+    state = (
+        log, flag, sim.now, sim.events_processed, drawn_seq(sim),
+        [c.cycles for c in clocks],
+    )
+    return state, sim.fastpath_stats
+
+
+def test_stop_ends_the_window_after_its_event():
+    heap, _ = run_until_flag(fastpath=False)
+    fast, stats = run_until_flag(fastpath=True)
+    assert fast == heap
+    assert heap[2] == 71_000
+    assert stats["inlined"] == 6
+    assert stats["windows"] == 1
 
 
 # ----------------------------------------------------------------------
